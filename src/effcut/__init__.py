@@ -35,7 +35,6 @@ from .simplex import (
     System,
     Tableau,
     UnboundedError,
-    add_row_and_reoptimize,
     add_rows_and_reoptimize,
     linear_objective,
     solve_lfp,
@@ -60,7 +59,6 @@ __all__ = [
     "System",
     "Tableau",
     "UnboundedError",
-    "add_row_and_reoptimize",
     "add_rows_and_reoptimize",
     "branch",
     "build_H",

@@ -37,13 +37,6 @@ class CutReport:
     cut_boilfp: Row | None
 
 
-def reduced_criterion_rows(tableau: Tableau, inst: Instance, x_star: Sequence) -> FBar:
-    """One reduced-gradient row per quadratic criterion, keyed by nonbasic id."""
-    return tuple(
-        tableau.reduced_gradient(obj.gradient(x_star)) for obj in inst.quadratics
-    )
-
-
 def build_H(f_bar: FBar) -> tuple[int, ...]:
     """Columns decreasing some criterion, plus columns flat in all of them."""
     out = []
@@ -75,7 +68,9 @@ def make_cut(indices: Sequence[int]) -> Row:
 def build_cut_report(inst: Instance, tableau: Tableau) -> CutReport:
     """Assemble H, H' and both cut rows at the tableau's current vertex."""
     x_star = tableau.original_point()
-    f_bar = reduced_criterion_rows(tableau, inst, x_star)
+    f_bar = tuple(
+        tableau.reduced_gradient(obj.gradient(x_star)) for obj in inst.quadratics
+    )
     gamma1 = tableau.gamma(inst.fractionals[0])
     gamma2 = tableau.gamma(inst.fractionals[1])
     H = build_H(f_bar)

@@ -349,10 +349,6 @@ def parse_instance(source: str | TextIO) -> Instance:
         raise InstanceFormatError(str(exc)) from None
 
 
-def _frac_str(v: Fraction) -> str:
-    return str(v)  # Fraction renders as 'a' or 'a/b'
-
-
 def render_instance(inst: Instance) -> str:
     """Canonical text form; parse_instance(render_instance(i)) == i."""
     lines = ["n %d" % inst.n, "r %d" % inst.r, ""]
@@ -366,10 +362,10 @@ def render_instance(inst: Instance) -> str:
     lines.append("")
     for frac in inst.fractionals:
         lines.append("fractional")
-        lines.append("p " + " ".join(_frac_str(v) for v in frac.p))
-        lines.append("q " + " ".join(_frac_str(v) for v in frac.q))
-        lines.append("alpha " + _frac_str(frac.alpha))
-        lines.append("beta " + _frac_str(frac.beta))
+        lines.append("p " + " ".join(str(v) for v in frac.p))
+        lines.append("q " + " ".join(str(v) for v in frac.q))
+        lines.append("alpha " + str(frac.alpha))
+        lines.append("beta " + str(frac.beta))
         lines.append("")
     lines.append("A")
     for row in inst.polyhedron.A:
@@ -395,21 +391,19 @@ def validate_instance(inst: Instance) -> list[str]:
     zero = tuple(ZERO for _ in range(inst.n))
     probe = FractionalObjective(zero, zero, ZERO, Fraction(1))
     base = simplex.System.from_polyhedron(inst.polyhedron)
-    out = simplex.solve_lfp(base.copy(), probe)
+    out = simplex.solve_lfp(base, probe)
     if isinstance(out, simplex.Infeasible):
         violations.append("empty feasible region")
     else:
         for k in range(inst.n):
             p = tuple(Fraction(-1) if i == k else ZERO for i in range(inst.n))
             try:
-                simplex.solve_lfp(base.copy(), simplex.linear_objective(p))
+                simplex.solve_lfp(base, simplex.linear_objective(p))
             except simplex.UnboundedError:
                 violations.append("unbounded region (x%d has no finite maximum)" % (k + 1))
         for s, frac in enumerate(inst.fractionals, 1):
             try:
-                res = simplex.solve_lfp(
-                    base.copy(), simplex.linear_objective(frac.q, frac.beta)
-                )
+                res = simplex.solve_lfp(base, simplex.linear_objective(frac.q, frac.beta))
             except simplex.UnboundedError:
                 violations.append(
                     "denominator nonpositive (objective %d unbounded below)" % s

@@ -28,7 +28,7 @@ def coordinate_bounds(inst: Instance) -> tuple[int, ...]:
         p = tuple(
             Fraction(-1) if i == k else Fraction(0) for i in range(inst.n)
         )
-        out = simplex.solve_lfp(base.copy(), simplex.linear_objective(p))
+        out = simplex.solve_lfp(base, simplex.linear_objective(p))
         if isinstance(out, simplex.Infeasible):
             return tuple(-1 for _ in range(inst.n))
         bounds.append(int(-out.value))  # floor of the maximum; value is exact

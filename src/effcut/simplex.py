@@ -134,35 +134,20 @@ class Tableau:
     """Dense simplex dictionary over every registry column.
 
     basis[i] is the variable id owning row i; basic columns are unit
-    vectors.  Artificial columns sit past the registry during phase one
+    vectors.  Every row, the initial ones included, enters through
+    append_row, and the tableau keeps its own copy of the system it was
+    built from.  Artificial columns sit past the registry during phase one
     only and are deleted before the tableau escapes.
     """
 
     def __init__(self, system: System):
-        self.system = system
-        size = system.registry_size
-        self.basis: list[int] = [system.slack_id(i) for i in range(len(system.rows))]
+        self.system = System(system.n)
+        self.basis: list[int] = []
         self.body: list[list[Fraction]] = []
         self.rhs: list[Fraction] = []
-        for i, row in enumerate(system.rows):
-            dense = [ZERO] * size
-            for j, v in row.coeffs:
-                dense[j - 1] = v
-            dense[self.basis[i] - 1] = ONE
-            rhs = Fraction(row.rhs)
-            # Rows may reference earlier slacks; eliminate them so every
-            # basic column is a unit vector from the start.
-            for k in range(i):
-                f = dense[self.basis[k] - 1]
-                if f:
-                    prev = self.body[k]
-                    for col in range(size):
-                        if prev[col]:
-                            dense[col] -= f * prev[col]
-                    rhs -= f * self.rhs[k]
-            self.body.append(dense)
-            self.rhs.append(rhs)
         self.n_art = 0
+        for row in system.rows:
+            self.append_row(row)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -234,25 +219,34 @@ class Tableau:
             q[k] = obj.q[k]
         return p, obj.alpha, q, obj.beta
 
-    def _price(self, p, alpha, q, beta):
-        m = len(self.basis)
-        P = alpha + sum(p[self.basis[i] - 1] * self.rhs[i] for i in range(m))
-        Q = beta + sum(q[self.basis[i] - 1] * self.rhs[i] for i in range(m))
-        gamma = {}
+    def _reduced(self, cost, const=ZERO):
+        """Value at the vertex and reduced row of the function cost'x + const.
+
+        cost is dense over the columns.  The value is const plus
+        sum_b cost_b * rhs_b; entry j of the row, for each nonbasic id j, is
+        cost_j minus sum_b cost_b * body_b[j].  Only basic rows whose
+        variable has a nonzero cost enter either sum.
+        """
+        basic = [
+            (cost[b - 1], self.body[i], self.rhs[i])
+            for i, b in enumerate(self.basis)
+            if cost[b - 1]
+        ]
+        value = const + sum(c * r for c, _, r in basic)
+        reduced = {}
         for j in self.nonbasis():
-            col = j - 1
-            eta = p[col]
-            theta = q[col]
-            for i in range(m):
-                bc = self.basis[i] - 1
-                a = self.body[i][col]
+            v = cost[j - 1]
+            for c, brow, _ in basic:
+                a = brow[j - 1]
                 if a:
-                    if p[bc]:
-                        eta -= p[bc] * a
-                    if q[bc]:
-                        theta -= q[bc] * a
-            gamma[j] = Q * eta - P * theta
-        return P, Q, gamma
+                    v -= c * a
+            reduced[j] = v
+        return value, reduced
+
+    def _price(self, p, alpha, q, beta):
+        P, eta = self._reduced(p, alpha)
+        Q, theta = self._reduced(q, beta)
+        return P, Q, {j: Q * eta[j] - P * theta[j] for j in eta}
 
     def price(self, obj: FractionalObjective):
         """(P, Q, gamma) of a fractional objective at the current vertex."""
@@ -260,10 +254,6 @@ class Tableau:
 
     def gamma(self, obj: FractionalObjective) -> dict[int, Fraction]:
         return self.price(obj)[2]
-
-    def value(self, obj: FractionalObjective) -> Fraction:
-        P, Q, _ = self.price(obj)
-        return P / Q
 
     def reduced_gradient(self, grad: Sequence) -> dict[int, Fraction]:
         """Reduced row of a criterion gradient at the current vertex.
@@ -274,38 +264,7 @@ class Tableau:
         g = [ZERO] * self.ncols
         for k in range(self.system.n):
             g[k] = Fraction(grad[k])
-        m = len(self.basis)
-        out = {}
-        for j in self.nonbasis():
-            col = j - 1
-            val = g[col]
-            for i in range(m):
-                bc = self.basis[i] - 1
-                if g[bc]:
-                    val -= g[bc] * self.body[i][col]
-            out[j] = val
-        return out
-
-    def basic_row(self, var_id: int) -> tuple[dict[int, Fraction], Fraction]:
-        """Nonbasic coefficients and rhs of the row owned by a basic id."""
-        i = self.basis.index(var_id)
-        coeffs = {j: self.body[i][j - 1] for j in self.nonbasis()}
-        return coeffs, self.rhs[i]
-
-    def dump(self, objectives: Sequence[FractionalObjective] = ()) -> str:
-        """ASCII snapshot of the dictionary, mainly for debugging."""
-        cols = self.nonbasis()
-        lines = []
-        head = "basis | " + " ".join("x%-6d" % j for j in cols) + "| rhs"
-        lines.append(head)
-        for i, bid in enumerate(self.basis):
-            cells = " ".join("%-7s" % self.body[i][j - 1] for j in cols)
-            lines.append("x%-4d | %s| %s" % (bid, cells, self.rhs[i]))
-        for s, obj in enumerate(objectives, 1):
-            _, _, gm = self.price(obj)
-            cells = " ".join("%-7s" % gm[j] for j in cols)
-            lines.append("g^%-3d | %s|" % (s, cells))
-        return "\n".join(lines)
+        return self._reduced(g)[1]
 
     # -- pivoting ---------------------------------------------------------
 
@@ -329,6 +288,10 @@ class Tableau:
                 self.rhs[i] -= f * prhs
         self.basis[row] = col_id
 
+    def _hard_cap(self) -> int:
+        """Pivot limit of one primal or dual run at the current size."""
+        return HARD_CAP_FACTOR * (len(self.basis) + self.ncols) ** 2 + 100
+
     def _primal(self, arrays, observer: Observer | None = None, tag="primal") -> None:
         """Pivot until gamma >= 0 on all nonbasic columns.
 
@@ -339,10 +302,9 @@ class Tableau:
         """
         p, alpha, q, beta = arrays
         m = len(self.basis)
-        hard_cap = HARD_CAP_FACTOR * (m + self.ncols) ** 2 + 100
         stall_limit = STALL_FACTOR * (m + self.ncols) + 10
         stall = 0
-        for _ in range(hard_cap):
+        for _ in range(self._hard_cap()):
             _, _, gamma = self._price(p, alpha, q, beta)
             entering = min((j for j, g in gamma.items() if g < 0), default=None)
             if entering is None:
@@ -376,8 +338,7 @@ class Tableau:
         """
         p, alpha, q, beta = arrays
         m = len(self.basis)
-        hard_cap = HARD_CAP_FACTOR * (m + self.ncols) ** 2 + 100
-        for _ in range(hard_cap):
+        for _ in range(self._hard_cap()):
             row = None
             for i in range(m):
                 if self.rhs[i] < 0:
@@ -431,8 +392,7 @@ class Tableau:
             p[size0 + k] = ONE
         arrays = (p, ZERO, [ZERO] * self.ncols, ONE)
         self._primal(arrays, observer, tag="phase1")
-        residue = sum(p[self.basis[i] - 1] * self.rhs[i] for i in range(m))
-        if residue > 0:
+        if self._reduced(p)[0] > 0:
             self._drop_artificials(size0)
             return False
         for i in range(m):
@@ -524,14 +484,5 @@ def add_rows_and_reoptimize(
     except _InfeasibleRow:
         return Infeasible()
     except SimplexCycleError:
-        return solve_lfp(tableau.system.copy(), objective, observer)
+        return solve_lfp(tableau.system, objective, observer)
     return _finish(tableau, objective)
-
-
-def add_row_and_reoptimize(
-    tableau: Tableau,
-    row: Row,
-    objective: FractionalObjective,
-    observer: Observer | None = None,
-) -> Optimal | Infeasible:
-    return add_rows_and_reoptimize(tableau, [row], objective, observer)

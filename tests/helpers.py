@@ -52,6 +52,16 @@ def random_instance(rng: random.Random) -> Instance:
     )
 
 
+class PivotCounts(dict):
+    """Solver observer that tallies simplex pivots by tag."""
+
+    def __init__(self):
+        super().__init__(primal=0, dual=0, phase1=0)
+
+    def __call__(self, tag, tableau):
+        self[tag] += 1
+
+
 def solve_exact(M, rhs):
     """Gaussian elimination over Fractions; None when singular."""
     n = len(rhs)

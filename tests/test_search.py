@@ -1,5 +1,6 @@
 """Branch-and-cut driver: tree shape, trace, budgets, branching rules."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from effcut import Node, Row, branch, select_branch_variable, solve
 from effcut.search import render_trace
-from helpers import random_instance
+from helpers import PivotCounts, random_instance
 
 F = Fraction
 
@@ -159,6 +160,19 @@ def test_trace_is_byte_deterministic(demo_instance):
     first = render_trace(solve(demo_instance).trace)
     second = render_trace(solve(demo_instance).trace)
     assert first == second
+
+
+def test_corpus_trajectory_is_frozen(corpus):
+    # Exact arithmetic makes every pivot reproducible: a refactor of the
+    # engine that computes the same numbers leaves these values unchanged.
+    pivots = PivotCounts()
+    digest = hashlib.sha256()
+    for inst in corpus:
+        digest.update(render_trace(solve(inst, observer=pivots).trace).encode())
+    assert digest.hexdigest() == (
+        "2f19763d9e62c01b752d7a5a7fe3a04601d4e645c2d2004cb3b39713ac6a435b"
+    )
+    assert pivots == {"primal": 125, "dual": 481, "phase1": 0}
 
 
 # -- budgets ---------------------------------------------------------------

@@ -11,16 +11,27 @@ from effcut import (
     Optimal,
     Polyhedron,
     Row,
+    SimplexCycleError,
     System,
+    Tableau,
     UnboundedError,
-    add_row_and_reoptimize,
     add_rows_and_reoptimize,
     linear_objective,
+    oracle_solve,
+    solve,
     solve_lfp,
 )
-from helpers import random_instance, vertex_minimum
+from effcut import simplex
+from helpers import PivotCounts, random_instance, vertex_minimum
 
 F = Fraction
+
+# Root cuts of the worked instance, then the branch x2 <= 2.
+DEMO_PATH_ROWS = (
+    Row.make({3: 1, 5: 1}, ">=", 1),
+    Row.make({1: 1, 3: 1, 5: 1}, ">=", 1),
+    Row.make({2: 1}, "<=", 2),
+)
 
 
 def box(*upper):
@@ -176,10 +187,13 @@ def test_demo_root_optimum(demo_instance):
 def test_demo_root_dictionary_rows(demo_instance):
     obj = demo_instance.fractionals[0]
     tab = solve_lfp(System.from_polyhedron(demo_instance.polyhedron), obj).tableau
-    coeffs, rhs = tab.basic_row(2)
-    assert (coeffs, rhs) == ({1: F(-1, 2), 3: F(3, 2), 5: F(1, 2)}, 3)
-    coeffs, rhs = tab.basic_row(4)
-    assert (coeffs, rhs) == ({1: F(3, 2), 3: F(-1, 2), 5: F(-1, 2)}, 0)
+
+    def row(var_id):
+        i = tab.basis.index(var_id)
+        return {j: tab.body[i][j - 1] for j in tab.nonbasis()}, tab.rhs[i]
+
+    assert row(2) == ({1: F(-1, 2), 3: F(3, 2), 5: F(1, 2)}, 3)
+    assert row(4) == ({1: F(3, 2), 3: F(-1, 2), 5: F(-1, 2)}, 0)
 
 
 def test_demo_warm_restart_after_cut_rows(demo_instance):
@@ -208,24 +222,24 @@ def test_demo_warm_restart_detects_infeasible_branch(demo_instance):
         [Row.make({3: 1, 5: 1}, ">=", 1), Row.make({1: 1, 3: 1, 5: 1}, ">=", 1)],
         obj,
     )
-    out = add_row_and_reoptimize(step.tableau.clone(), Row.make({2: 1}, ">=", 3), obj)
+    out = add_rows_and_reoptimize(step.tableau.clone(), [Row.make({2: 1}, ">=", 3)], obj)
     assert isinstance(out, Infeasible)
 
 
-def test_warm_restart_matches_fresh_solve(demo_instance):
-    obj = demo_instance.fractionals[0]
-    rows = [
-        Row.make({3: 1, 5: 1}, ">=", 1),
-        Row.make({1: 1, 3: 1, 5: 1}, ">=", 1),
-        Row.make({2: 1}, "<=", 2),
-    ]
-    root = solve_lfp(System.from_polyhedron(demo_instance.polyhedron), obj)
+def warm_and_fresh(inst, rows):
+    """The root optimum warm-started over rows, and a cold solve with them."""
+    obj = inst.fractionals[0]
+    root = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
     warm = add_rows_and_reoptimize(root.tableau.clone(), rows, obj)
 
-    system = System.from_polyhedron(demo_instance.polyhedron)
+    system = System.from_polyhedron(inst.polyhedron)
     for row in rows:
         system.add_row(row)
-    fresh = solve_lfp(system, obj)
+    return warm, solve_lfp(system, obj)
+
+
+def test_warm_restart_matches_fresh_solve(demo_instance):
+    warm, fresh = warm_and_fresh(demo_instance, DEMO_PATH_ROWS)
     assert warm.value == fresh.value == -5
     assert warm.point == fresh.point == (0, 2, 0)
 
@@ -281,3 +295,44 @@ def test_reduced_gradient_of_slackless_function(demo_instance):
     tab = Tableau(system)
     grad = (7, -3, 2)
     assert tab.reduced_gradient(grad) == {1: 7, 2: -3, 3: 2}
+
+
+# -- forced paths ------------------------------------------------------------
+
+
+def corpus_pivots(corpus):
+    """Solve the corpus, checking each efficient set; pivots by tag."""
+    pivots = PivotCounts()
+    for inst in corpus:
+        assert solve(inst, observer=pivots).x_eff == oracle_solve(inst).X_Eff
+    return pivots
+
+
+def _cycling_dual(self, arrays, observer=None):
+    raise SimplexCycleError("forced")
+
+
+def test_cycle_fallback_matches_fresh_solve(demo_instance, monkeypatch):
+    monkeypatch.setattr(Tableau, "_dual", _cycling_dual)
+    warm, fresh = warm_and_fresh(demo_instance, DEMO_PATH_ROWS)
+    assert warm.value == fresh.value == -5
+    assert warm.point == fresh.point == (0, 2, 0)
+
+
+def test_cycle_fallback_solves_the_corpus(corpus, monkeypatch):
+    # Every warm start falls back to a cold solve, whose phase one then
+    # runs through cut rows that reference earlier slacks.
+    monkeypatch.setattr(Tableau, "_dual", _cycling_dual)
+    assert corpus_pivots(corpus) == {"primal": 495, "dual": 0, "phase1": 1045}
+
+
+def test_bland_rule_from_the_first_pivot(corpus, monkeypatch):
+    monkeypatch.setattr(simplex, "STALL_FACTOR", -(10**6))
+    rng = random.Random(31)
+    for _ in range(30):
+        inst = random_instance(rng)
+        for obj in inst.fractionals:
+            out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
+            assert out.value == vertex_minimum(inst.polyhedron, obj)
+    # Bland's ties lead elsewhere than the default rule's 125 primal pivots.
+    assert corpus_pivots(corpus) == {"primal": 124, "dual": 474, "phase1": 0}
