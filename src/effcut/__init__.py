@@ -6,7 +6,12 @@ exact rational.  A brute-force oracle provides independent ground truth.
 """
 
 from .cuts import CutReport, build_cut_report, build_H, build_H_prime, make_cut
-from .efficiency import EfficiencyVerdict, test_boilfp_efficiency, test_moiqp_efficiency
+from .efficiency import (
+    EfficiencyVerdict,
+    PointTable,
+    test_boilfp_efficiency,
+    test_moiqp_efficiency,
+)
 from .instance import (
     FractionalObjective,
     Instance,
@@ -51,6 +56,7 @@ __all__ = [
     "Node",
     "Optimal",
     "ParetoSets",
+    "PointTable",
     "Polyhedron",
     "QuadraticObjective",
     "Row",

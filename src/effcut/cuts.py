@@ -65,13 +65,20 @@ def make_cut(indices: Sequence[int]) -> Row:
     return Row.make({j: 1 for j in indices}, ">=", 1)
 
 
-def build_cut_report(inst: Instance, tableau: Tableau) -> CutReport:
-    """Assemble H, H' and both cut rows at the tableau's current vertex."""
+def build_cut_report(
+    inst: Instance, tableau: Tableau, gamma1: Mapping[int, Fraction] | None = None
+) -> CutReport:
+    """Assemble H, H' and both cut rows at the tableau's current vertex.
+
+    gamma1, when given, must be the first preference's gamma at that
+    vertex (an Optimal carries it); it is priced here otherwise.
+    """
     x_star = tableau.original_point()
     f_bar = tuple(
         tableau.reduced_gradient(obj.gradient(x_star)) for obj in inst.quadratics
     )
-    gamma1 = tableau.gamma(inst.fractionals[0])
+    if gamma1 is None:
+        gamma1 = tableau.gamma(inst.fractionals[0])
     gamma2 = tableau.gamma(inst.fractionals[1])
     H = build_H(f_bar)
     H_prime = build_H_prime(gamma1, gamma2)

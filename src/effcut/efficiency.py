@@ -1,4 +1,4 @@
-"""Efficiency certificates for integer points, by exhaustive enumeration.
+"""Efficiency certificates for integer points, over integer criterion tables.
 
 Two auxiliary programs decide membership in the two Pareto sets.  T1 asks
 for the largest total criterion slack sum eps_i over integer y with
@@ -9,13 +9,29 @@ preference functions after clearing denominators:
 
 Either maximum is zero exactly when x* is efficient.  Once y is fixed the
 auxiliaries are tight, so both programs reduce to a scan over D with the
-slacks in closed form.
+slacks in closed form, and the scans run on integers only:
+
+  T1  Q_i, c_i and y are integer, so F_i(y) = 2 f_i(y) = y'Q_i y + 2 c_i'y
+      is an integer.  The maximum is (sum_i F_i(x*) - sum_i F_i(y)) / 2
+      over the y with F(y) <= F(x*).
+  T2  With L_s the lcm of the denominators of p_s, q_s, alpha_s, beta_s,
+      P_s = L_s (p_s'y + alpha_s) and Q_s = L_s (q_s'y + beta_s) are
+      integers, Q_s(y) > 0 on D, and D_s = L_s Q_s(x*) turns each slack
+      into w_s = n_s / D_s with the integer
+      n_s(y) = Q_s(y) P_s(x*) - P_s(y) Q_s(x*).  The maximum is
+      (n_1 D_2 + n_2 D_1) / (D_1 D_2) over the y with n_1, n_2 >= 0.
+
+A PointTable holds D once per solve and fills each test's integer columns
+on the first call that needs them.  Witnesses are the first maximizer in
+the order of D; the maximum comes back as an exact Fraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, mul
 from typing import Sequence
 
 from .instance import Instance
@@ -39,54 +55,126 @@ class EfficiencyVerdict:
             raise ValueError("witness must accompany exactly the inefficient case")
 
 
-def _candidate_points(x_star, inst: Instance, points) -> list[tuple[int, ...]]:
-    xs = tuple(int(v) for v in x_star)
-    if tuple(Fraction(v) for v in x_star) != tuple(Fraction(v) for v in xs):
-        raise ValueError("candidate point is not integer")
-    pool = list(points) if points is not None else enumerate_feasible(inst)
-    if xs not in pool:
-        raise ValueError("candidate point is infeasible")
-    return pool
+def _linear_forms(coeff_rows, consts, y):
+    """The integers a'y + a0 for each integer row a and constant a0."""
+    return tuple(sum(map(mul, a, y)) + a0 for a, a0 in zip(coeff_rows, consts))
+
+
+class PointTable:
+    """The integer points of one instance with their integer criterion columns.
+
+    points must be exactly the integer feasible set D; positions follow
+    their order.  The T1 and T2 columns are filled on the first test that
+    needs them and reused by every later one.  Filling the T2 columns
+    raises ValueError when some preference denominator q_s'y + beta_s is
+    not positive on D.
+    """
+
+    def __init__(self, inst: Instance, points: Sequence[tuple[int, ...]]):
+        self.inst = inst
+        self.points = tuple(points)
+        self.index = {y: k for k, y in enumerate(self.points)}
+        self._t1 = None
+        self._t2 = None
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def position(self, x_star: Sequence) -> int:
+        """Position of the candidate in D; ValueError unless it is a point of D."""
+        xs = tuple(int(v) for v in x_star)
+        if any(v != w for v, w in zip(x_star, xs)):
+            raise ValueError("candidate point is not integer")
+        k = self.index.get(xs)
+        if k is None:
+            raise ValueError("candidate point is infeasible")
+        return k
+
+    def t1_columns(self):
+        """(rows, sums, order) with rows[k] = (2 f_1, ..., 2 f_r)(y_k), sums[k]
+        its sum, and order the positions sorted by sum, ties by position."""
+        if self._t1 is None:
+            # 2 f(y) = y'(Qy + 2c), and Qy + 2c is an integer vector.
+            forms = [(obj.Q, [2 * ci for ci in obj.c]) for obj in self.inst.quadratics]
+            rows = [
+                tuple(sum(map(mul, _linear_forms(Q, c2, y), y)) for Q, c2 in forms)
+                for y in self.points
+            ]
+            sums = [sum(row) for row in rows]
+            order = sorted(range(len(rows)), key=sums.__getitem__)
+            self._t1 = (rows, sums, order)
+        return self._t1
+
+    def t2_columns(self):
+        """(scales, rows) with scales = (L_1, L_2) and
+        rows[k] = (P_1, Q_1, P_2, Q_2)(y_k) cleared by those scales."""
+        if self._t2 is None:
+            scales, forms, consts = [], [], []
+            for fr in self.inst.fractionals:
+                data = (*fr.p, *fr.q, fr.alpha, fr.beta)
+                L = math.lcm(*(Fraction(v).denominator for v in data))
+                scales.append(L)
+                for coeffs, const in ((fr.p, fr.alpha), (fr.q, fr.beta)):
+                    forms.append([int(v * L) for v in coeffs])
+                    consts.append(int(const * L))
+            rows = [_linear_forms(forms, consts, y) for y in self.points]
+            if any(row[1] <= 0 or row[3] <= 0 for row in rows):
+                raise ValueError("a preference denominator is not positive on D")
+            self._t2 = (tuple(scales), rows)
+        return self._t2
+
+
+def _table(inst: Instance, points) -> PointTable:
+    if isinstance(points, PointTable):
+        if points.inst is not inst and points.inst != inst:
+            raise ValueError("point table belongs to another instance")
+        return points
+    return PointTable(inst, enumerate_feasible(inst) if points is None else points)
 
 
 def test_moiqp_efficiency(
-    x_star: Sequence, inst: Instance, points: Sequence[tuple[int, ...]] | None = None
+    x_star: Sequence,
+    inst: Instance,
+    points: PointTable | Sequence[tuple[int, ...]] | None = None,
 ) -> EfficiencyVerdict:
     """Decide efficiency of x* for the quadratic criteria (program T1).
 
-    points, when given, must be exactly the integer feasible set; it is
-    re-enumerated otherwise.
+    points is a PointTable of the instance or exactly the integer feasible
+    set; D is enumerated when it is omitted.  Scanning in order of
+    sum_i 2 f_i(y), the first y with 2 f(y) <= 2 f(x*) is the maximizer.
     """
-    pool = _candidate_points(x_star, inst, points)
-    ref = [obj.value(x_star) for obj in inst.quadratics]
-    best = ZERO
-    witness = None
-    for y in pool:
-        vals = [obj.value(y) for obj in inst.quadratics]
-        if all(v <= t for v, t in zip(vals, ref)):
-            phi = sum(t - v for v, t in zip(vals, ref))
-            if phi > best:
-                best = phi
-                witness = y
-    return EfficiencyVerdict(best == 0, best, witness)
+    table = _table(inst, points)
+    k = table.position(x_star)
+    rows, sums, order = table.t1_columns()
+    ref, total = rows[k], sums[k]
+    for j in order:
+        if sums[j] >= total:
+            break
+        if all(map(le, rows[j], ref)):
+            return EfficiencyVerdict(False, Fraction(total - sums[j], 2), table.points[j])
+    return EfficiencyVerdict(True, ZERO, None)
 
 
 def test_boilfp_efficiency(
-    x_star: Sequence, inst: Instance, points: Sequence[tuple[int, ...]] | None = None
+    x_star: Sequence,
+    inst: Instance,
+    points: PointTable | Sequence[tuple[int, ...]] | None = None,
 ) -> EfficiencyVerdict:
     """Decide efficiency of x* for the preference pair (program T2)."""
-    pool = _candidate_points(x_star, inst, points)
-    ref = [frac.value(x_star) for frac in inst.fractionals]
-    best = ZERO
+    table = _table(inst, points)
+    k = table.position(x_star)
+    (L1, L2), rows = table.t2_columns()
+    P1x, Q1x, P2x, Q2x = rows[k]
+    D1, D2 = L1 * Q1x, L2 * Q2x
+    best = 0
     witness = None
-    for y in pool:
-        ws = [
-            frac.denominator(y) * (t - frac.value(y))
-            for frac, t in zip(inst.fractionals, ref)
-        ]
-        if all(w >= 0 for w in ws):
-            total = sum(ws)
-            if total > best:
-                best = total
-                witness = y
-    return EfficiencyVerdict(best == 0, best, witness)
+    for y, (P1, Q1, P2, Q2) in zip(table.points, rows):
+        n1 = Q1 * P1x - P1 * Q1x
+        if n1 >= 0:
+            n2 = Q2 * P2x - P2 * Q2x
+            if n2 >= 0:
+                total = n1 * D2 + n2 * D1
+                if total > best:
+                    best = total
+                    witness = y
+    return EfficiencyVerdict(best == 0, Fraction(best, D1 * D2), witness)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cuts import build_cut_report
-from .efficiency import test_boilfp_efficiency, test_moiqp_efficiency
+from .efficiency import PointTable, test_boilfp_efficiency, test_moiqp_efficiency
 from .instance import Instance
 from .oracle import DEFAULT_ENUM_CAP, IntPoint, enumerate_feasible
 from .simplex import (
@@ -127,7 +127,7 @@ def solve(
     if branching_rule not in BRANCHING_RULES:
         raise ValueError("unknown branching rule %r" % branching_rule)
     objective = inst.fractionals[0]
-    pool = enumerate_feasible(inst, enum_cap)
+    table = PointTable(inst, enumerate_feasible(inst, enum_cap))
     trace: list[dict] = []
     nodes: list[Node] = [Node(0, None, ())]
     stack = [(nodes[0], None, ())]  # (node, parent tableau, pending rows)
@@ -169,7 +169,7 @@ def solve(
 
         xi = tuple(int(v) for v in x)
         trace.append(_event(node.id, node.parent, "integer_found", point=x, value=outcome.value))
-        t1 = test_moiqp_efficiency(xi, inst, pool)
+        t1 = test_moiqp_efficiency(xi, inst, table)
         t1_runs += 1
         trace.append(
             _event(
@@ -181,7 +181,7 @@ def solve(
             )
         )
         if t1.efficient:
-            t2 = test_boilfp_efficiency(xi, inst, pool)
+            t2 = test_boilfp_efficiency(xi, inst, table)
             t2_runs += 1
             trace.append(
                 _event(
@@ -197,7 +197,7 @@ def solve(
                     found.append(xi)
                 trace.append(_event(node.id, node.parent, "recorded", point=x, value=outcome.value))
 
-        report = build_cut_report(inst, outcome.tableau)
+        report = build_cut_report(inst, outcome.tableau, outcome.gamma)
         if not report.H or not report.H_prime:
             node.status = "fathomed_explored"
             trace.append(

@@ -292,8 +292,9 @@ class Tableau:
         """Pivot limit of one primal or dual run at the current size."""
         return HARD_CAP_FACTOR * (len(self.basis) + self.ncols) ** 2 + 100
 
-    def _primal(self, arrays, observer: Observer | None = None, tag="primal") -> None:
-        """Pivot until gamma >= 0 on all nonbasic columns.
+    def _primal(self, arrays, observer: Observer | None = None, tag="primal"):
+        """Pivot until gamma >= 0 on all nonbasic columns; returns the final
+        pricing (P, Q, gamma).
 
         Entering is always the least improving id.  Leaving takes the
         minimum ratio, breaking ties toward the largest basic id; after a
@@ -305,10 +306,10 @@ class Tableau:
         stall_limit = STALL_FACTOR * (m + self.ncols) + 10
         stall = 0
         for _ in range(self._hard_cap()):
-            _, _, gamma = self._price(p, alpha, q, beta)
-            entering = min((j for j, g in gamma.items() if g < 0), default=None)
+            priced = self._price(p, alpha, q, beta)
+            entering = min((j for j, g in priced[2].items() if g < 0), default=None)
             if entering is None:
-                return
+                return priced
             col = entering - 1
             bland = stall > stall_limit
             best = None
@@ -424,11 +425,16 @@ class Tableau:
 
 @dataclass(frozen=True)
 class Optimal:
-    """A certified vertex minimum of the fractional objective."""
+    """A certified vertex minimum of the fractional objective.
+
+    gamma is the objective's fractional reduced cost row at the tableau's
+    basis, all nonnegative.
+    """
 
     point: tuple[Fraction, ...]
     value: Fraction
     tableau: Tableau
+    gamma: dict[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -436,16 +442,17 @@ class Infeasible:
     """The constraint system has no nonnegative solution."""
 
 
-def _finish(tab: Tableau, objective: FractionalObjective) -> Optimal:
+def _finish(tab: Tableau, priced) -> Optimal:
+    """Check the final pricing (P, Q, gamma) of a primal run and wrap it."""
     x = tab.original_point()
-    P, Q, gamma = tab.price(objective)
+    P, Q, gamma = priced
     if Q <= 0:
         raise RuntimeError("nonpositive denominator at optimum")
     if any(v < 0 for v in tab.rhs) or any(g < 0 for g in gamma.values()):
         raise RuntimeError("simplex stopped at a non-optimal basis")
     if not tab.system.satisfied_by(x):
         raise RuntimeError("optimal point violates its own system")
-    return Optimal(point=x, value=P / Q, tableau=tab)
+    return Optimal(point=x, value=P / Q, tableau=tab, gamma=gamma)
 
 
 def solve_lfp(
@@ -458,8 +465,7 @@ def solve_lfp(
     if any(v < 0 for v in tab.rhs):
         if not tab._phase_one(observer):
             return Infeasible()
-    tab._primal(tab._cost_arrays(objective), observer)
-    return _finish(tab, objective)
+    return _finish(tab, tab._primal(tab._cost_arrays(objective), observer))
 
 
 def add_rows_and_reoptimize(
@@ -480,9 +486,9 @@ def add_rows_and_reoptimize(
     arrays = tableau._cost_arrays(objective)
     try:
         tableau._dual(arrays, observer)
-        tableau._primal(arrays, observer)
+        priced = tableau._primal(arrays, observer)
     except _InfeasibleRow:
         return Infeasible()
     except SimplexCycleError:
         return solve_lfp(tableau.system, objective, observer)
-    return _finish(tableau, objective)
+    return _finish(tableau, priced)

@@ -167,3 +167,12 @@ def test_f_bar_identity_on_random_instances():
             for j in tab.nonbasis():
                 d = column_direction(tab, j)
                 assert row[j] == sum(g * v for g, v in zip(grad, d))
+
+
+def test_cut_report_from_the_optimum_gamma_equals_a_fresh_pricing():
+    rng = random.Random(41)
+    for _ in range(20):
+        inst = random_instance(rng)
+        out = solve_lfp(System.from_polyhedron(inst.polyhedron), inst.fractionals[0])
+        priced = build_cut_report(inst, out.tableau)
+        assert build_cut_report(inst, out.tableau, out.gamma) == priced

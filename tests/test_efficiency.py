@@ -1,14 +1,92 @@
 """Enumeration-backed efficiency tests for integer candidates."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from effcut import EfficiencyVerdict, enumerate_feasible, oracle_solve
+from effcut import (
+    EfficiencyVerdict,
+    FractionalObjective,
+    Instance,
+    PointTable,
+    Polyhedron,
+    QuadraticObjective,
+    enumerate_feasible,
+    oracle_solve,
+    solve,
+)
 from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut import test_moiqp_efficiency as moiqp_efficiency
 
 F = Fraction
+
+
+# -- plain-Fraction reference scans --------------------------------------------
+#
+# The scans the integer table replaced, over criterion values evaluated
+# once per point with QuadraticObjective.value and
+# FractionalObjective.denominator / .value.
+
+
+def quadratic_values(inst, pool):
+    return {y: [obj.value(y) for obj in inst.quadratics] for y in pool}
+
+
+def preference_values(inst, pool):
+    return {y: [(fr.denominator(y), fr.value(y)) for fr in inst.fractionals] for y in pool}
+
+
+def reference_t1(x_star, pool, values):
+    """Program T1 as a Fraction scan over the pool; first strict maximizer."""
+    ref = values[x_star]
+    best, witness = F(0), None
+    for y in pool:
+        vals = values[y]
+        if all(v <= t for v, t in zip(vals, ref)):
+            phi = sum(t - v for v, t in zip(vals, ref))
+            if phi > best:
+                best, witness = phi, y
+    return EfficiencyVerdict(best == 0, best, witness)
+
+
+def reference_t2(x_star, pool, values):
+    """Program T2 as a Fraction scan over the pool; first strict maximizer."""
+    ref = [psi for _, psi in values[x_star]]
+    best, witness = F(0), None
+    for y in pool:
+        ws = [den * (t - psi) for (den, psi), t in zip(values[y], ref)]
+        if all(w >= 0 for w in ws):
+            total = sum(ws)
+            if total > best:
+                best, witness = total, y
+    return EfficiencyVerdict(best == 0, best, witness)
+
+
+def assert_matches_reference(inst):
+    pool = enumerate_feasible(inst)
+    table = PointTable(inst, pool)
+    quad, pref = quadratic_values(inst, pool), preference_values(inst, pool)
+    for x in pool:
+        assert moiqp_efficiency(x, inst, table) == reference_t1(x, pool, quad)
+        assert boilfp_efficiency(x, inst, table) == reference_t2(x, pool, pref)
+
+
+def assert_columns_are_cleared_criteria(inst):
+    table = PointTable(inst, enumerate_feasible(inst))
+    rows, sums, order = table.t1_columns()
+    scales, cleared = table.t2_columns()
+    for k, y in enumerate(table.points):
+        assert rows[k] == tuple(2 * obj.value(y) for obj in inst.quadratics)
+        assert sums[k] == sum(rows[k])
+        expected = []
+        for L, frac in zip(scales, inst.fractionals):
+            expected += [L * frac.numerator(y), L * frac.denominator(y)]
+        assert cleared[k] == tuple(expected)
+        assert all(type(v) is int for v in rows[k] + cleared[k])
+    assert sorted(order, key=lambda k: (sums[k], k)) == order
 
 
 def test_verdict_invariants():
@@ -118,3 +196,101 @@ def test_single_point_region_is_trivially_efficient():
     )
     assert moiqp_efficiency((0,), inst).efficient
     assert boilfp_efficiency((0,), inst).efficient
+
+
+def three_point_line(q, beta):
+    """D = {0, 1, 2} on a line; every point is quadratic-efficient, psi_1 = x
+    is minimized at 0, and psi_2 = 1 / (q x + beta)."""
+    return Instance(
+        n=1,
+        r=2,
+        quadratics=(
+            QuadraticObjective(((0,),), (1,)),
+            QuadraticObjective(((0,),), (-1,)),
+        ),
+        fractionals=(
+            FractionalObjective((F(1),), (F(0),), F(0), F(1)),
+            FractionalObjective((F(0),), (F(q),), F(1), F(beta)),
+        ),
+        polyhedron=Polyhedron(((1,),), (2,)),
+    )
+
+
+# -- the integer point table --------------------------------------------------
+
+
+def test_table_matches_reference_scans_on_the_corpus(corpus):
+    for inst in corpus:
+        assert_matches_reference(inst)
+
+
+@seed(20240917)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_table_matches_reference_scans_with_rational_preferences(corpus, data):
+    base = corpus[data.draw(st.integers(0, len(corpus) - 1))]
+    signed = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    nonneg = st.fractions(min_value=0, max_value=5, max_denominator=12)
+    positive = st.fractions(min_value=F(1, 12), max_value=10, max_denominator=12)
+    fractionals = tuple(
+        FractionalObjective(
+            p=tuple(data.draw(signed) for _ in range(base.n)),
+            q=tuple(data.draw(nonneg) for _ in range(base.n)),
+            alpha=data.draw(signed),
+            beta=data.draw(positive),
+        )
+        for _ in range(2)
+    )
+    inst = dataclasses.replace(base, fractionals=fractionals)
+    assert_matches_reference(inst)
+    assert_columns_are_cleared_criteria(inst)
+
+
+def test_table_columns_are_cleared_criteria(corpus, demo_instance):
+    for inst in [demo_instance, *corpus]:
+        assert_columns_are_cleared_criteria(inst)
+
+
+def test_table_rejects_bad_candidates(demo_instance):
+    table = PointTable(demo_instance, enumerate_feasible(demo_instance))
+    assert len(table) == 17
+    for x in ((0, F(1, 2), 0), (0, 0, 3), (-1, 0, 0), (0, 0)):
+        for test in (moiqp_efficiency, boilfp_efficiency):
+            with pytest.raises(ValueError):
+                test(x, demo_instance, table)
+
+
+def test_table_of_another_instance_is_rejected(demo_instance):
+    other = three_point_line(0, 1)
+    table = PointTable(other, enumerate_feasible(other))
+    with pytest.raises(ValueError):
+        moiqp_efficiency((0, 0, 0), demo_instance, table)
+
+
+def test_repeated_calls_reuse_the_columns(demo_instance):
+    table = PointTable(demo_instance, enumerate_feasible(demo_instance))
+    first = [
+        (moiqp_efficiency(x, demo_instance, table), boilfp_efficiency(x, demo_instance, table))
+        for x in table.points
+    ]
+    columns = (table.t1_columns(), table.t2_columns())
+    again = [
+        (moiqp_efficiency(x, demo_instance, table), boilfp_efficiency(x, demo_instance, table))
+        for x in table.points
+    ]
+    assert again == first
+    assert table.t1_columns() is columns[0]
+    assert table.t2_columns() is columns[1]
+
+
+@pytest.mark.parametrize("q,beta", [(-1, 2), (-2, 3)])
+def test_nonpositive_denominator_on_D_is_rejected(q, beta):
+    # q x + beta is zero, or negative, at x = 2 only; positive at x* = 0.
+    inst = three_point_line(q, beta)
+    table = PointTable(inst, enumerate_feasible(inst))
+    # T1 never fills the T2 columns, so it still runs.
+    assert moiqp_efficiency((0,), inst, table).efficient
+    with pytest.raises(ValueError):
+        boilfp_efficiency((0,), inst, table)
+    with pytest.raises(ValueError):
+        solve(inst)

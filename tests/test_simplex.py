@@ -244,6 +244,18 @@ def test_warm_restart_matches_fresh_solve(demo_instance):
     assert warm.point == fresh.point == (0, 2, 0)
 
 
+def test_optimum_carries_the_gamma_of_its_basis(demo_instance):
+    obj = demo_instance.fractionals[0]
+    for out in warm_and_fresh(demo_instance, DEMO_PATH_ROWS):
+        assert out.gamma == out.tableau.gamma(obj)
+    rng = random.Random(37)
+    for _ in range(20):
+        inst = random_instance(rng)
+        for obj in inst.fractionals:
+            out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
+            assert out.gamma == out.tableau.gamma(obj)
+
+
 # -- certificates and invariants ---------------------------------------------
 
 
