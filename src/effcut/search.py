@@ -122,10 +122,15 @@ def solve(
     branch on a fractional coordinate; at an integer optimum run T1, then
     T2 on a pass, record on a double pass, and afterwards either fathom
     (some cut set empty) or push the cut successor.  The budget caps node
-    pops; exhaustion clears the complete flag.
+    pops; exhaustion clears the complete flag.  A criterion matrix that
+    is not positive semidefinite raises ValueError, since the cuts are
+    safe only for convex criteria.
     """
     if branching_rule not in BRANCHING_RULES:
         raise ValueError("unknown branching rule %r" % branching_rule)
+    for i, quad in enumerate(inst.quadratics, 1):
+        if not quad.is_psd():
+            raise ValueError("Q%d not positive semidefinite" % i)
     objective = inst.fractionals[0]
     table = PointTable(inst, enumerate_feasible(inst, enum_cap))
     trace: list[dict] = []

@@ -40,10 +40,6 @@ class SimplexCycleError(Exception):
     """A pivot loop exceeded its hard cap."""
 
 
-class _InfeasibleRow(Exception):
-    """Internal: a dual row certified emptiness."""
-
-
 def linear_objective(p: Sequence, alpha=ZERO) -> FractionalObjective:
     """Wrap the linear function p'x + alpha as a fractional objective."""
     pt = tuple(Fraction(v) for v in p)
@@ -182,8 +178,10 @@ class Tableau:
     def append_row(self, row: Row) -> int:
         """Add one constraint below an existing basis; returns the slack id.
 
-        The fresh row is reduced against the basic rows so basic columns
-        stay unit; its slack enters the basis, possibly at negative value.
+        The row sum_j a_j x_j + s = rhs is the reduced row of the linear form
+        a'x - rhs with the slack s as its basic variable: basic columns read
+        zero, and the new rhs is minus the form's vertex value, possibly
+        negative.
         """
         if self.n_art:
             raise RuntimeError("cannot grow a tableau during phase one")
@@ -191,51 +189,38 @@ class Tableau:
         stored = self.system.rows[-1]
         for r in self.body:
             r.append(ZERO)
-        dense = [ZERO] * self.ncols
+        coeffs = [ZERO] * (slack - 1)
         for j, v in stored.coeffs:
-            dense[j - 1] = v
+            coeffs[j - 1] = v
+        value, reduced = self._reduced(coeffs, -stored.rhs)
+        dense = [reduced.get(j, ZERO) for j in range(1, self.ncols + 1)]
         dense[slack - 1] = ONE
-        rhs = Fraction(stored.rhs)
-        for i, bid in enumerate(self.basis):
-            f = dense[bid - 1]
-            if f:
-                brow = self.body[i]
-                for k in range(len(dense)):
-                    if brow[k]:
-                        dense[k] -= f * brow[k]
-                rhs -= f * self.rhs[i]
         self.body.append(dense)
-        self.rhs.append(rhs)
+        self.rhs.append(-value)
         self.basis.append(slack)
         return slack
 
     # -- pricing ----------------------------------------------------------
 
-    def _cost_arrays(self, obj: FractionalObjective):
-        p = [ZERO] * self.ncols
-        q = [ZERO] * self.ncols
-        for k in range(self.system.n):
-            p[k] = obj.p[k]
-            q[k] = obj.q[k]
-        return p, obj.alpha, q, obj.beta
-
-    def _reduced(self, cost, const=ZERO):
+    def _reduced(self, cost: Sequence, const=ZERO):
         """Value at the vertex and reduced row of the function cost'x + const.
 
-        cost is dense over the columns.  The value is const plus
-        sum_b cost_b * rhs_b; entry j of the row, for each nonbasic id j, is
-        cost_j minus sum_b cost_b * body_b[j].  Only basic rows whose
-        variable has a nonzero cost enter either sum.
+        cost holds the coefficients of ids 1..len(cost); later ids cost
+        nothing.  The value is const plus sum_b cost_b * rhs_b; entry j of
+        the row, for each nonbasic id j, is cost_j minus
+        sum_b cost_b * body_b[j].  Only basic rows whose variable has a
+        nonzero cost enter either sum.
         """
+        size = len(cost)
         basic = [
             (cost[b - 1], self.body[i], self.rhs[i])
             for i, b in enumerate(self.basis)
-            if cost[b - 1]
+            if b <= size and cost[b - 1]
         ]
         value = const + sum(c * r for c, _, r in basic)
         reduced = {}
         for j in self.nonbasis():
-            v = cost[j - 1]
+            v = cost[j - 1] if j <= size else ZERO
             for c, brow, _ in basic:
                 a = brow[j - 1]
                 if a:
@@ -243,14 +228,11 @@ class Tableau:
             reduced[j] = v
         return value, reduced
 
-    def _price(self, p, alpha, q, beta):
-        P, eta = self._reduced(p, alpha)
-        Q, theta = self._reduced(q, beta)
-        return P, Q, {j: Q * eta[j] - P * theta[j] for j in eta}
-
     def price(self, obj: FractionalObjective):
         """(P, Q, gamma) of a fractional objective at the current vertex."""
-        return self._price(*self._cost_arrays(obj))
+        P, eta = self._reduced(obj.p, obj.alpha)
+        Q, theta = self._reduced(obj.q, obj.beta)
+        return P, Q, {j: Q * eta[j] - P * theta[j] for j in eta}
 
     def gamma(self, obj: FractionalObjective) -> dict[int, Fraction]:
         return self.price(obj)[2]
@@ -261,10 +243,7 @@ class Tableau:
         Entry j is grad_j minus the basic-gradient combination of column j;
         slack positions carry zero gradient.
         """
-        g = [ZERO] * self.ncols
-        for k in range(self.system.n):
-            g[k] = Fraction(grad[k])
-        return self._reduced(g)[1]
+        return self._reduced(grad)[1]
 
     # -- pivoting ---------------------------------------------------------
 
@@ -292,7 +271,9 @@ class Tableau:
         """Pivot limit of one primal or dual run at the current size."""
         return HARD_CAP_FACTOR * (len(self.basis) + self.ncols) ** 2 + 100
 
-    def _primal(self, arrays, observer: Observer | None = None, tag="primal"):
+    def _primal(
+        self, obj: FractionalObjective, observer: Observer | None = None, tag="primal"
+    ):
         """Pivot until gamma >= 0 on all nonbasic columns; returns the final
         pricing (P, Q, gamma).
 
@@ -301,12 +282,11 @@ class Tableau:
         long degenerate stall the tie flips to the smallest id (Bland),
         which the stall-local linearity of gamma makes terminating.
         """
-        p, alpha, q, beta = arrays
         m = len(self.basis)
         stall_limit = STALL_FACTOR * (m + self.ncols) + 10
         stall = 0
         for _ in range(self._hard_cap()):
-            priced = self._price(p, alpha, q, beta)
+            priced = self.price(obj)
             entering = min((j for j, g in priced[2].items() if g < 0), default=None)
             if entering is None:
                 return priced
@@ -329,15 +309,14 @@ class Tableau:
                 observer(tag, self)
         raise SimplexCycleError("primal pivot cap exceeded")
 
-    def _dual(self, arrays, observer: Observer | None = None) -> None:
+    def _dual(self, obj: FractionalObjective, observer: Observer | None = None) -> bool:
         """Pivot infeasible rows out while keeping gamma nonnegative.
 
         Leaving is the most negative rhs, ties toward the largest basic id;
         entering minimizes gamma_j / -a_rj over negative row entries, ties
-        toward the smallest id.  A row with no negative entry certifies
-        emptiness.
+        toward the smallest id.  Returns False when a row with no negative
+        entry certifies emptiness, True once every rhs is nonnegative.
         """
-        p, alpha, q, beta = arrays
         m = len(self.basis)
         for _ in range(self._hard_cap()):
             row = None
@@ -349,8 +328,8 @@ class Tableau:
                     ):
                         row = i
             if row is None:
-                return
-            _, _, gamma = self._price(p, alpha, q, beta)
+                return True
+            gamma = self.gamma(obj)
             entering = None
             best_ratio = None
             for j in sorted(gamma):
@@ -361,7 +340,7 @@ class Tableau:
                         best_ratio = ratio
                         entering = j
             if entering is None:
-                raise _InfeasibleRow()
+                return False
             self.pivot(row, entering)
             if observer:
                 observer("dual", self)
@@ -388,12 +367,9 @@ class Tableau:
             self.body[i][size0 + k] = ONE
             self.basis[i] = size0 + k + 1
         self.n_art = len(bad)
-        p = [ZERO] * self.ncols
-        for k in range(self.n_art):
-            p[size0 + k] = ONE
-        arrays = (p, ZERO, [ZERO] * self.ncols, ONE)
-        self._primal(arrays, observer, tag="phase1")
-        if self._reduced(p)[0] > 0:
+        artificial_mass = linear_objective([ZERO] * size0 + [ONE] * self.n_art)
+        residue, _, _ = self._primal(artificial_mass, observer, tag="phase1")
+        if residue > 0:
             self._drop_artificials(size0)
             return False
         for i in range(m):
@@ -465,7 +441,7 @@ def solve_lfp(
     if any(v < 0 for v in tab.rhs):
         if not tab._phase_one(observer):
             return Infeasible()
-    return _finish(tab, tab._primal(tab._cost_arrays(objective), observer))
+    return _finish(tab, tab._primal(objective, observer))
 
 
 def add_rows_and_reoptimize(
@@ -483,12 +459,10 @@ def add_rows_and_reoptimize(
     """
     for row in rows:
         tableau.append_row(row)
-    arrays = tableau._cost_arrays(objective)
     try:
-        tableau._dual(arrays, observer)
-        priced = tableau._primal(arrays, observer)
-    except _InfeasibleRow:
-        return Infeasible()
+        if not tableau._dual(objective, observer):
+            return Infeasible()
+        priced = tableau._primal(objective, observer)
     except SimplexCycleError:
         return solve_lfp(tableau.system, objective, observer)
     return _finish(tableau, priced)

@@ -11,17 +11,10 @@ from effcut import FractionalObjective, Instance, Polyhedron, QuadraticObjective
 F = Fraction
 
 
-def random_instance(rng: random.Random) -> Instance:
-    """A valid instance by construction.
-
-    Box rows keep every coordinate in [0, 5] (bounded, origin feasible,
-    extra rows have nonnegative rhs), q >= 0 with beta >= 1 keeps the
-    denominators positive, and Q = M'M keeps every criterion convex.
-    """
-    n = rng.randint(1, 3)
-    r = rng.choice((2, 3))
+def _quadratics(rng: random.Random, n: int) -> tuple[QuadraticObjective, ...]:
+    """Two or three criteria; Q = M'M keeps every one convex."""
     quads = []
-    for _ in range(r):
+    for _ in range(rng.choice((2, 3))):
         M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         Q = tuple(
             tuple(sum(M[k][i] * M[k][j] for k in range(n)) for j in range(n))
@@ -29,7 +22,13 @@ def random_instance(rng: random.Random) -> Instance:
         )
         c = tuple(rng.randint(-10, 10) for _ in range(n))
         quads.append(QuadraticObjective(Q, c))
-    fracs = tuple(
+    return tuple(quads)
+
+
+def _fractionals(rng: random.Random, n: int) -> tuple[FractionalObjective, ...]:
+    """An independent preference pair; q >= 0 with beta >= 1 keeps the
+    denominators positive on x >= 0."""
+    return tuple(
         FractionalObjective(
             p=tuple(F(rng.randint(-10, 10)) for _ in range(n)),
             q=tuple(F(rng.randint(0, 5)) for _ in range(n)),
@@ -38,18 +37,52 @@ def random_instance(rng: random.Random) -> Instance:
         )
         for _ in range(2)
     )
+
+
+def _instance(n, quads, fracs, rows, rhs) -> Instance:
+    return Instance(
+        n=n,
+        r=len(quads),
+        quadratics=quads,
+        fractionals=fracs,
+        polyhedron=Polyhedron(tuple(tuple(v) for v in rows), tuple(rhs)),
+    )
+
+
+def random_instance(rng: random.Random) -> Instance:
+    """A valid instance by construction.
+
+    Box rows keep every coordinate in [0, 5] (bounded, origin feasible,
+    extra rows have nonnegative rhs).
+    """
+    n = rng.randint(1, 3)
+    quads = _quadratics(rng, n)
+    fracs = _fractionals(rng, n)
     rows = [[1 if j == k else 0 for j in range(n)] for k in range(n)]
     rhs = [rng.randint(0, 5) for _ in range(n)]
     for _ in range(rng.randint(0, 2)):
         rows.append([rng.randint(-3, 3) for _ in range(n)])
         rhs.append(rng.randint(0, 10))
-    return Instance(
-        n=n,
-        r=r,
-        quadratics=tuple(quads),
-        fractionals=fracs,
-        polyhedron=Polyhedron(tuple(tuple(v) for v in rows), tuple(rhs)),
-    )
+    return _instance(n, quads, fracs, rows, rhs)
+
+
+def binary_instance(rng: random.Random) -> Instance:
+    """A valid 0/1 instance with deep cut paths.
+
+    n = 5 in the box [0, 1]^5 plus three random rows a'x <= b, each with b
+    drawn from [M/2, M] where M is the row's maximum over the box, so the
+    origin stays feasible and D keeps about 27 points.
+    """
+    n = 5
+    quads = _quadratics(rng, n)
+    rows = [[1 if j == k else 0 for j in range(n)] for k in range(n)]
+    rhs = [1] * n
+    for _ in range(3):
+        a = [rng.randint(-3, 3) for _ in range(n)]
+        top = sum(max(v, 0) for v in a)
+        rows.append(a)
+        rhs.append(rng.randint((top + 1) // 2, top))
+    return _instance(n, quads, _fractionals(rng, n), rows, rhs)
 
 
 class PivotCounts(dict):

@@ -1,5 +1,6 @@
 """Branch-and-cut driver: tree shape, trace, budgets, branching rules."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,9 +8,23 @@ from fractions import Fraction
 
 import pytest
 
-from effcut import Node, Row, branch, select_branch_variable, solve
+from effcut import (
+    FractionalObjective,
+    Instance,
+    Node,
+    Polyhedron,
+    QuadraticObjective,
+    Row,
+    UnboundedError,
+    branch,
+    oracle_solve,
+    parse_instance,
+    select_branch_variable,
+    solve,
+)
 from effcut.search import render_trace
-from helpers import PivotCounts, random_instance
+from helpers import PivotCounts, binary_instance, random_instance
+from test_cli import EMPTY_REGION
 
 F = Fraction
 
@@ -175,6 +190,21 @@ def test_corpus_trajectory_is_frozen(corpus):
     assert pivots == {"primal": 125, "dual": 481, "phase1": 0}
 
 
+def test_deep_cut_trajectory_is_frozen():
+    # Binary instances carry long cut paths through many dual pivots on
+    # tableaus the corpus never reaches.
+    rng = random.Random(20240917)
+    pivots = PivotCounts()
+    digest = hashlib.sha256()
+    for _ in range(20):
+        res = solve(binary_instance(rng), observer=pivots)
+        digest.update(render_trace(res.trace).encode())
+    assert digest.hexdigest() == (
+        "3ea5f4652b18c15b616f2077c99d5d8ffa5b1f7952c742ac78a7f4ee722170a2"
+    )
+    assert pivots == {"primal": 81, "dual": 520, "phase1": 0}
+
+
 # -- budgets ---------------------------------------------------------------
 
 
@@ -254,6 +284,109 @@ def test_single_point_region():
     assert res.complete
     assert res.x_eff == ((0,),)
     assert res.node_count == 1
+
+
+def test_empty_region():
+    inst = parse_instance(EMPTY_REGION)
+    res = solve(inst)
+    assert res.complete
+    assert res.x_eff == oracle_solve(inst).X_Eff == ()
+    assert res.node_count == 0
+    assert [ev["action"] for ev in res.trace] == ["infeasible"]
+
+
+def test_unbounded_region_raises():
+    inst = Instance(
+        n=2,
+        r=2,
+        quadratics=(
+            QuadraticObjective(((0, 0), (0, 0)), (1, 1)),
+            QuadraticObjective(((2, 0), (0, 2)), (0, 0)),
+        ),
+        fractionals=(
+            FractionalObjective((F(1), F(0)), (F(0), F(0)), F(0), F(1)),
+            FractionalObjective((F(0), F(1)), (F(0), F(0)), F(0), F(1)),
+        ),
+        polyhedron=Polyhedron(((1, -1),), (0,)),
+    )
+    with pytest.raises(UnboundedError):
+        solve(inst)
+
+
+def test_indefinite_criterion_rejected():
+    inst = Instance(
+        n=2,
+        r=2,
+        quadratics=(
+            QuadraticObjective(((2, 0), (0, 2)), (0, 0)),
+            QuadraticObjective(((0, 1), (1, 0)), (0, 0)),
+        ),
+        fractionals=(
+            FractionalObjective((F(1), F(0)), (F(0), F(0)), F(0), F(1)),
+            FractionalObjective((F(0), F(1)), (F(0), F(0)), F(0), F(1)),
+        ),
+        polyhedron=Polyhedron(((1, 0), (0, 1)), (2, 2)),
+    )
+    with pytest.raises(ValueError, match="Q2 not positive semidefinite"):
+        solve(inst)
+
+
+# -- metamorphic properties ---------------------------------------------------
+
+
+def _reverse(v):
+    return tuple(reversed(v))
+
+
+def reversed_variables(inst):
+    return dataclasses.replace(
+        inst,
+        quadratics=tuple(
+            QuadraticObjective(_reverse([_reverse(row) for row in q.Q]), _reverse(q.c))
+            for q in inst.quadratics
+        ),
+        fractionals=tuple(
+            FractionalObjective(_reverse(f.p), _reverse(f.q), f.alpha, f.beta)
+            for f in inst.fractionals
+        ),
+        polyhedron=Polyhedron(
+            tuple(_reverse(row) for row in inst.polyhedron.A), inst.polyhedron.b
+        ),
+    )
+
+
+def first_row_scaled(inst, factor=3):
+    A, b = inst.polyhedron.A, inst.polyhedron.b
+    return dataclasses.replace(
+        inst,
+        polyhedron=Polyhedron(
+            (tuple(factor * v for v in A[0]),) + A[1:], (factor * b[0],) + b[1:]
+        ),
+    )
+
+
+def first_row_repeated_looser(inst):
+    A, b = inst.polyhedron.A, inst.polyhedron.b
+    return dataclasses.replace(inst, polyhedron=Polyhedron(A + (A[0],), b + (b[0] + 1,)))
+
+
+def first_criterion_duplicated(inst):
+    return dataclasses.replace(
+        inst, r=inst.r + 1, quadratics=(inst.quadratics[0],) + inst.quadratics
+    )
+
+
+def test_metamorphic_properties(corpus):
+    # A property that fails here is a bug to record, never a reason to
+    # shrink the instance set.
+    for inst in corpus[:30]:
+        x_eff = solve(inst).x_eff
+        assert solve(reversed_variables(inst)).x_eff == tuple(
+            sorted(_reverse(x) for x in x_eff)
+        )
+        assert solve(first_row_scaled(inst)).x_eff == x_eff
+        assert solve(first_row_repeated_looser(inst)).x_eff == x_eff
+        assert solve(first_criterion_duplicated(inst)).x_eff == x_eff
 
 
 def test_random_instances_complete_within_default_budget():
