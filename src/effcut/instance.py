@@ -388,10 +388,8 @@ def validate_instance(inst: Instance) -> list[str]:
     from . import simplex  # deferred; simplex imports this module
 
     violations: list[str] = []
-    zero = tuple(ZERO for _ in range(inst.n))
-    probe = FractionalObjective(zero, zero, ZERO, Fraction(1))
     base = simplex.System.from_polyhedron(inst.polyhedron)
-    out = simplex.solve_lfp(base, probe)
+    out = simplex.solve_lfp(base, simplex.linear_objective(()))
     if isinstance(out, simplex.Infeasible):
         violations.append("empty feasible region")
     else:

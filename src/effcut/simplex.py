@@ -132,8 +132,7 @@ class Tableau:
     basis[i] is the variable id owning row i; basic columns are unit
     vectors.  Every row, the initial ones included, enters through
     append_row, and the tableau keeps its own copy of the system it was
-    built from.  Artificial columns sit past the registry during phase one
-    only and are deleted before the tableau escapes.
+    built from.
     """
 
     def __init__(self, system: System):
@@ -141,7 +140,6 @@ class Tableau:
         self.basis: list[int] = []
         self.body: list[list[Fraction]] = []
         self.rhs: list[Fraction] = []
-        self.n_art = 0
         for row in system.rows:
             self.append_row(row)
 
@@ -149,7 +147,7 @@ class Tableau:
 
     @property
     def ncols(self) -> int:
-        return self.system.registry_size + self.n_art
+        return self.system.registry_size
 
     def nonbasis(self) -> list[int]:
         basic = set(self.basis)
@@ -161,15 +159,13 @@ class Tableau:
         twin.basis = list(self.basis)
         twin.body = [list(r) for r in self.body]
         twin.rhs = list(self.rhs)
-        twin.n_art = self.n_art
         return twin
 
     def point(self) -> tuple[Fraction, ...]:
-        """Current vertex over the registry (artificials excluded)."""
+        """Current vertex over the registry."""
         vals = [ZERO] * self.system.registry_size
         for i, j in enumerate(self.basis):
-            if j <= self.system.registry_size:
-                vals[j - 1] = self.rhs[i]
+            vals[j - 1] = self.rhs[i]
         return tuple(vals)
 
     def original_point(self) -> tuple[Fraction, ...]:
@@ -183,8 +179,6 @@ class Tableau:
         zero, and the new rhs is minus the form's vertex value, possibly
         negative.
         """
-        if self.n_art:
-            raise RuntimeError("cannot grow a tableau during phase one")
         slack = self.system.add_row(row)
         stored = self.system.rows[-1]
         for r in self.body:
@@ -271,6 +265,10 @@ class Tableau:
         """Pivot limit of one primal or dual run at the current size."""
         return HARD_CAP_FACTOR * (len(self.basis) + self.ncols) ** 2 + 100
 
+    def _stall_limit(self) -> int:
+        """Zero-ratio pivots in a row after which a run follows Bland's rule."""
+        return STALL_FACTOR * (len(self.basis) + self.ncols) + 10
+
     def _primal(
         self, obj: FractionalObjective, observer: Observer | None = None, tag="primal"
     ):
@@ -283,7 +281,7 @@ class Tableau:
         which the stall-local linearity of gamma makes terminating.
         """
         m = len(self.basis)
-        stall_limit = STALL_FACTOR * (m + self.ncols) + 10
+        stall_limit = self._stall_limit()
         stall = 0
         for _ in range(self._hard_cap()):
             priced = self.price(obj)
@@ -309,26 +307,32 @@ class Tableau:
                 observer(tag, self)
         raise SimplexCycleError("primal pivot cap exceeded")
 
-    def _dual(self, obj: FractionalObjective, observer: Observer | None = None) -> bool:
+    def _dual(
+        self, obj: FractionalObjective, observer: Observer | None = None, tag="dual"
+    ) -> bool:
         """Pivot infeasible rows out while keeping gamma nonnegative.
 
         Leaving is the most negative rhs, ties toward the largest basic id;
         entering minimizes gamma_j / -a_rj over negative row entries, ties
-        toward the smallest id.  Returns False when a row with no negative
-        entry certifies emptiness, True once every rhs is nonnegative.
+        toward the smallest id.  After a long run of zero ratios the
+        leaving row becomes the smallest infeasible basic id, the dual form
+        of Bland's rule, which terminates for a linear objective.  Returns
+        False when a row with no negative entry certifies emptiness, True
+        once every rhs is nonnegative.  Under the zero objective every basis
+        is dual feasible, so the pass alone reaches feasibility from any
+        basis.
         """
         m = len(self.basis)
+        stall_limit = self._stall_limit()
+        stall = 0
         for _ in range(self._hard_cap()):
-            row = None
-            for i in range(m):
-                if self.rhs[i] < 0:
-                    if row is None or (self.rhs[i], -self.basis[i]) < (
-                        self.rhs[row],
-                        -self.basis[row],
-                    ):
-                        row = i
-            if row is None:
+            infeasible = [i for i in range(m) if self.rhs[i] < 0]
+            if not infeasible:
                 return True
+            if stall > stall_limit:
+                row = min(infeasible, key=lambda i: self.basis[i])
+            else:
+                row = min(infeasible, key=lambda i: (self.rhs[i], -self.basis[i]))
             gamma = self.gamma(obj)
             entering = None
             best_ratio = None
@@ -341,62 +345,11 @@ class Tableau:
                         entering = j
             if entering is None:
                 return False
+            stall = stall + 1 if best_ratio == 0 else 0
             self.pivot(row, entering)
             if observer:
-                observer("dual", self)
+                observer(tag, self)
         raise SimplexCycleError("dual pivot cap exceeded")
-
-    def _phase_one(self, observer: Observer | None = None) -> bool:
-        """Reach primal feasibility from a fresh slack basis.
-
-        Rows with negative rhs are negated and given an artificial column;
-        the artificial mass is minimized as a plain linear objective through
-        the same pricing machinery.  Returns False on a positive residue
-        (empty region).  Artificial columns are deleted before returning.
-        """
-        m = len(self.basis)
-        size0 = self.ncols
-        bad = [i for i in range(m) if self.rhs[i] < 0]
-        if not bad:
-            return True
-        for r in self.body:
-            r.extend([ZERO] * len(bad))
-        for k, i in enumerate(bad):
-            self.body[i] = [-v for v in self.body[i]]
-            self.rhs[i] = -self.rhs[i]
-            self.body[i][size0 + k] = ONE
-            self.basis[i] = size0 + k + 1
-        self.n_art = len(bad)
-        artificial_mass = linear_objective([ZERO] * size0 + [ONE] * self.n_art)
-        residue, _, _ = self._primal(artificial_mass, observer, tag="phase1")
-        if residue > 0:
-            self._drop_artificials(size0)
-            return False
-        for i in range(m):
-            if self.basis[i] > size0:
-                # Degenerate row still parked on its artificial: kick it
-                # onto any real column (one exists; rows keep full rank).
-                basic = set(self.basis)
-                col_id = next(
-                    (
-                        j
-                        for j in range(1, size0 + 1)
-                        if j not in basic and self.body[i][j - 1] != 0
-                    ),
-                    None,
-                )
-                if col_id is None:
-                    raise RuntimeError("rank-deficient row in phase one")
-                self.pivot(i, col_id)
-                if observer:
-                    observer("phase1", self)
-        self._drop_artificials(size0)
-        return True
-
-    def _drop_artificials(self, size0: int) -> None:
-        for r in self.body:
-            del r[size0:]
-        self.n_art = 0
 
 
 @dataclass(frozen=True)
@@ -436,11 +389,14 @@ def solve_lfp(
     objective: FractionalObjective,
     observer: Observer | None = None,
 ) -> Optimal | Infeasible:
-    """Minimize a fractional objective over a system, from scratch."""
+    """Minimize a fractional objective over a system on a fresh tableau.
+
+    Dual pivots under the zero objective reach a feasible basis from the
+    slack basis; primal pivots then minimize.
+    """
     tab = Tableau(system)
-    if any(v < 0 for v in tab.rhs):
-        if not tab._phase_one(observer):
-            return Infeasible()
+    if not tab._dual(linear_objective(()), observer, tag="phase1"):
+        return Infeasible()
     return _finish(tab, tab._primal(objective, observer))
 
 

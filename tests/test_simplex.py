@@ -320,8 +320,14 @@ def corpus_pivots(corpus):
     return pivots
 
 
-def _cycling_dual(self, arrays, observer=None):
-    raise SimplexCycleError("forced")
+_real_dual = Tableau._dual
+
+
+def _cycling_dual(self, obj, observer=None, tag="dual"):
+    """Every warm dual pass cycles; the cold feasibility pass still runs."""
+    if tag == "dual":
+        raise SimplexCycleError("forced")
+    return _real_dual(self, obj, observer, tag)
 
 
 def test_cycle_fallback_matches_fresh_solve(demo_instance, monkeypatch):
@@ -332,19 +338,38 @@ def test_cycle_fallback_matches_fresh_solve(demo_instance, monkeypatch):
 
 
 def test_cycle_fallback_solves_the_corpus(corpus, monkeypatch):
-    # Every warm start falls back to a cold solve, whose phase one then
-    # runs through cut rows that reference earlier slacks.
+    # Every warm start falls back to a cold solve, whose feasibility pass
+    # then runs through cut rows that reference earlier slacks.
     monkeypatch.setattr(Tableau, "_dual", _cycling_dual)
-    assert corpus_pivots(corpus) == {"primal": 495, "dual": 0, "phase1": 1045}
+    assert corpus_pivots(corpus) == {"primal": 504, "dual": 0, "phase1": 343}
 
 
 def test_bland_rule_from_the_first_pivot(corpus, monkeypatch):
     monkeypatch.setattr(simplex, "STALL_FACTOR", -(10**6))
     rng = random.Random(31)
+    ge_rng = random.Random(37)
+    empty = []
     for _ in range(30):
         inst = random_instance(rng)
+        # Two rows a'x >= b with b >= 1 cut off the origin, so the
+        # feasibility pass starts from at least two infeasible rows.
+        ge = [
+            ([ge_rng.randint(0, 3) for _ in range(inst.n)], ge_rng.randint(1, 4))
+            for _ in range(2)
+        ]
+        poly = Polyhedron(
+            inst.polyhedron.A + tuple(tuple(-v for v in a) for a, _ in ge),
+            inst.polyhedron.b + tuple(-b for _, b in ge),
+        )
         for obj in inst.fractionals:
-            out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
-            assert out.value == vertex_minimum(inst.polyhedron, obj)
-    # Bland's ties lead elsewhere than the default rule's 125 primal pivots.
-    assert corpus_pivots(corpus) == {"primal": 124, "dual": 474, "phase1": 0}
+            out = solve_lfp(System.from_polyhedron(poly), obj)
+            best = vertex_minimum(poly, obj)
+            empty.append(best is None)
+            if best is None:
+                assert isinstance(out, Infeasible)
+            else:
+                assert out.value == best
+    assert any(empty) and not all(empty)
+    # Bland's rule flips the dual pass too, so both counts move away from
+    # the default rule's 125 primal and 481 dual pivots.
+    assert corpus_pivots(corpus) == {"primal": 146, "dual": 631, "phase1": 0}
