@@ -10,19 +10,19 @@ where eta/theta are the classic reduced costs of numerator and denominator;
 gamma >= 0 over all nonbasic columns certifies a minimum.  Constraint rows
 live in a registry: original variables get ids 1..n, each row contributes a
 slack with the next free id, and rows added later may reference earlier
-slacks.  Everything is fractions.Fraction; no floats anywhere.
+slacks.  The tableau holds Python ints over one positive common
+denominator and pivots fraction-free (Bareiss); rows, objectives and
+every value handed out are fractions.Fraction.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .instance import FractionalObjective, Polyhedron
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Pivot-count guards. The stall limit flips tie-breaking to Bland's rule
 # inside a run of degenerate pivots; the hard cap aborts the loop outright.
@@ -40,10 +40,24 @@ class SimplexCycleError(Exception):
     """A pivot loop exceeded its hard cap."""
 
 
-def linear_objective(p: Sequence, alpha=ZERO) -> FractionalObjective:
+def linear_objective(p: Sequence, alpha=0) -> FractionalObjective:
     """Wrap the linear function p'x + alpha as a fractional objective."""
     pt = tuple(Fraction(v) for v in p)
-    return FractionalObjective(pt, tuple(ZERO for _ in pt), Fraction(alpha), ONE)
+    return FractionalObjective(pt, (Fraction(0),) * len(pt), Fraction(alpha), Fraction(1))
+
+
+def _integers(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of rational values over their least common
+    denominator, and that denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _objective_form(obj: FractionalObjective):
+    """Numerator and denominator of obj as integer (cost, const, scale)."""
+    p, lp = _integers([*obj.p, obj.alpha])
+    q, lq = _integers([*obj.q, obj.beta])
+    return (p[:-1], p[-1], lp), (q[:-1], q[-1], lq)
 
 
 @dataclass(frozen=True)
@@ -127,19 +141,24 @@ class System:
 
 
 class Tableau:
-    """Dense simplex dictionary over every registry column.
+    """Fraction-free simplex dictionary over every registry column.
 
-    basis[i] is the variable id owning row i; basic columns are unit
-    vectors.  Every row, the initial ones included, enters through
-    append_row, and the tableau keeps its own copy of the system it was
-    built from.
+    body and rhs hold Python ints over one positive common denominator d:
+    entry k of row i is body[i][k] / d and its value is rhs[i] / d.  d is
+    the absolute basis determinant of the integer system behind the rows,
+    so every entry is a minor of that system and the one-step update of
+    Bareiss divides exactly.  basis[i] is the variable id owning row i;
+    basic columns read d in their own row and zero elsewhere.  Every row,
+    the initial ones included, enters through append_row, and the tableau
+    keeps its own copy of the system it was built from.
     """
 
     def __init__(self, system: System):
         self.system = System(system.n)
         self.basis: list[int] = []
-        self.body: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        self.body: list[list[int]] = []
+        self.rhs: list[int] = []
+        self.d = 1
         for row in system.rows:
             self.append_row(row)
 
@@ -159,13 +178,14 @@ class Tableau:
         twin.basis = list(self.basis)
         twin.body = [list(r) for r in self.body]
         twin.rhs = list(self.rhs)
+        twin.d = self.d
         return twin
 
     def point(self) -> tuple[Fraction, ...]:
         """Current vertex over the registry."""
-        vals = [ZERO] * self.system.registry_size
+        vals = [Fraction(0)] * self.system.registry_size
         for i, j in enumerate(self.basis):
-            vals[j - 1] = self.rhs[i]
+            vals[j - 1] = Fraction(self.rhs[i], self.d)
         return tuple(vals)
 
     def original_point(self) -> tuple[Fraction, ...]:
@@ -177,18 +197,25 @@ class Tableau:
         The row sum_j a_j x_j + s = rhs is the reduced row of the linear form
         a'x - rhs with the slack s as its basic variable: basic columns read
         zero, and the new rhs is minus the form's vertex value, possibly
-        negative.
+        negative.  A row with denominators is first scaled by their lcm L;
+        the whole tableau and d are scaled by L with it, which makes it the
+        tableau of the integer system whose new slack has coefficient L.
         """
         slack = self.system.add_row(row)
         stored = self.system.rows[-1]
+        nums, scale = _integers([v for _, v in stored.coeffs] + [stored.rhs])
+        cost = [0] * (slack - 1)
+        for (j, _), v in zip(stored.coeffs, nums):
+            cost[j - 1] = v
         for r in self.body:
-            r.append(ZERO)
-        coeffs = [ZERO] * (slack - 1)
-        for j, v in stored.coeffs:
-            coeffs[j - 1] = v
-        value, reduced = self._reduced(coeffs, -stored.rhs)
-        dense = [reduced.get(j, ZERO) for j in range(1, self.ncols + 1)]
-        dense[slack - 1] = ONE
+            r.append(0)
+        value, reduced = self._reduced(cost, -nums[-1], self.nonbasis())
+        if scale != 1:
+            self.body = [[v * scale for v in r] for r in self.body]
+            self.rhs = [v * scale for v in self.rhs]
+            self.d *= scale
+        dense = [reduced.get(j, 0) for j in range(1, slack + 1)]
+        dense[slack - 1] = self.d
         self.body.append(dense)
         self.rhs.append(-value)
         self.basis.append(slack)
@@ -196,37 +223,62 @@ class Tableau:
 
     # -- pricing ----------------------------------------------------------
 
-    def _reduced(self, cost: Sequence, const=ZERO):
-        """Value at the vertex and reduced row of the function cost'x + const.
+    def _reduced(self, cost: Sequence[int], const: int, cols: Iterable[int]):
+        """Value at the vertex and reduced entries of the integer function
+        cost'x + const, both over d.
 
         cost holds the coefficients of ids 1..len(cost); later ids cost
-        nothing.  The value is const plus sum_b cost_b * rhs_b; entry j of
-        the row, for each nonbasic id j, is cost_j minus
-        sum_b cost_b * body_b[j].  Only basic rows whose variable has a
-        nonzero cost enter either sum.
+        nothing.  The value is (d * const + sum_b cost_b * rhs_b) / d; entry
+        j of the row, for each id j in cols, is (d * cost_j - sum_b cost_b *
+        body_b[j]) / d.  Only basic rows whose variable has a nonzero cost
+        enter either sum.
         """
+        d = self.d
         size = len(cost)
         basic = [
             (cost[b - 1], self.body[i], self.rhs[i])
             for i, b in enumerate(self.basis)
             if b <= size and cost[b - 1]
         ]
-        value = const + sum(c * r for c, _, r in basic)
+        value = d * const + sum(c * r for c, _, r in basic)
         reduced = {}
-        for j in self.nonbasis():
-            v = cost[j - 1] if j <= size else ZERO
+        for j in cols:
+            v = d * cost[j - 1] if j <= size else 0
             for c, brow, _ in basic:
-                a = brow[j - 1]
-                if a:
-                    v -= c * a
+                v -= c * brow[j - 1]
             reduced[j] = v
         return value, reduced
 
+    def _priced(self, form, cols: Sequence[int]):
+        """Integer pricing (Pn, Qn, G) of an objective form over cols.
+
+        With the form's denominators Lp and Lq, P = Pn / (Lp d), Q = Qn /
+        (Lq d) and gamma_j = G_j / (Lp Lq d^2), where G_j = Qn E_j - Pn T_j
+        for the numerator's and denominator's reduced entries E_j / (Lp d)
+        and T_j / (Lq d).  The common denominator is positive, so G_j has
+        the sign of gamma_j.
+        """
+        (p, alpha, _), (q, beta, _) = form
+        Pn, eta = self._reduced(p, alpha, cols)
+        Qn, theta = self._reduced(q, beta, cols)
+        return Pn, Qn, {j: Qn * eta[j] - Pn * theta[j] for j in cols}
+
+    def _fractions(self, form, priced):
+        """The integer pricing (Pn, Qn, G) of form as Fractions (P, Q, gamma)."""
+        (_, _, lp), (_, _, lq) = form
+        Pn, Qn, G = priced
+        d = self.d
+        den = lp * lq * d * d
+        return (
+            Fraction(Pn, lp * d),
+            Fraction(Qn, lq * d),
+            {j: Fraction(g, den) for j, g in G.items()},
+        )
+
     def price(self, obj: FractionalObjective):
         """(P, Q, gamma) of a fractional objective at the current vertex."""
-        P, eta = self._reduced(obj.p, obj.alpha)
-        Q, theta = self._reduced(obj.q, obj.beta)
-        return P, Q, {j: Q * eta[j] - P * theta[j] for j in eta}
+        form = _objective_form(obj)
+        return self._fractions(form, self._priced(form, self.nonbasis()))
 
     def gamma(self, obj: FractionalObjective) -> dict[int, Fraction]:
         return self.price(obj)[2]
@@ -237,28 +289,42 @@ class Tableau:
         Entry j is grad_j minus the basic-gradient combination of column j;
         slack positions carry zero gradient.
         """
-        return self._reduced(grad)[1]
+        cost, scale = _integers(grad)
+        den = scale * self.d
+        reduced = self._reduced(cost, 0, self.nonbasis())[1]
+        return {j: Fraction(v, den) for j, v in reduced.items()}
 
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, row: int, col_id: int) -> None:
+        """Bareiss update: a'_ik = (a_ik a_rs - a_is a_rk) / d, exactly.
+
+        The pivot row is negated first when a_rs < 0, so d' = |a_rs| stays
+        positive.  Rows with a zero in the pivot column only rescale by
+        a_rs / d, and stay as they are when a_rs == d.
+        """
         col = col_id - 1
-        piv = self.body[row][col]
-        if piv == 0:
+        body, rhs, d = self.body, self.rhs, self.d
+        prow, prhs = body[row], rhs[row]
+        p = prow[col]
+        if p == 0:
             raise ValueError("zero pivot element")
-        inv = ONE / piv
-        self.body[row] = [v * inv for v in self.body[row]]
-        self.rhs[row] *= inv
-        prow = self.body[row]
-        prhs = self.rhs[row]
-        for i in range(len(self.body)):
+        if p < 0:
+            p = -p
+            prow = body[row] = [-v for v in prow]
+            prhs = rhs[row] = -prhs
+        for i in range(len(body)):
             if i == row:
                 continue
-            f = self.body[i][col]
+            brow = body[i]
+            f = brow[col]
             if f:
-                brow = self.body[i]
-                self.body[i] = [brow[k] - f * prow[k] for k in range(len(brow))]
-                self.rhs[i] -= f * prhs
+                body[i] = [(a * p - f * b) // d for a, b in zip(brow, prow)]
+                rhs[i] = (rhs[i] * p - f * prhs) // d
+            elif p != d:
+                body[i] = [a * p // d for a in brow]
+                rhs[i] = rhs[i] * p // d
+        self.d = p
         self.basis[row] = col_id
 
     def _hard_cap(self) -> int:
@@ -278,31 +344,35 @@ class Tableau:
         Entering is always the least improving id.  Leaving takes the
         minimum ratio, breaking ties toward the largest basic id; after a
         long degenerate stall the tie flips to the smallest id (Bland),
-        which the stall-local linearity of gamma makes terminating.
+        which the stall-local linearity of gamma makes terminating.  Ratios
+        compare by cross-multiplication.
         """
+        form = _objective_form(obj)
         m = len(self.basis)
         stall_limit = self._stall_limit()
         stall = 0
         for _ in range(self._hard_cap()):
-            priced = self.price(obj)
+            priced = self._priced(form, self.nonbasis())
             entering = min((j for j, g in priced[2].items() if g < 0), default=None)
             if entering is None:
-                return priced
+                return self._fractions(form, priced)
             col = entering - 1
             bland = stall > stall_limit
-            best = None
+            best = None  # (rhs, entry, key, row) of the least ratio so far
             for i in range(m):
                 a = self.body[i][col]
-                if a > 0:
-                    ratio = self.rhs[i] / a
-                    key = self.basis[i] if bland else -self.basis[i]
-                    if best is None or (ratio, key) < best[:2]:
-                        best = (ratio, key, i)
+                if a <= 0:
+                    continue
+                r, key = self.rhs[i], (self.basis[i] if bland else -self.basis[i])
+                if best is not None:
+                    cross = r * best[1] - best[0] * a
+                    if cross > 0 or (cross == 0 and key > best[2]):
+                        continue
+                best = (r, a, key, i)
             if best is None:
                 raise UnboundedError("column x%d never blocks" % entering)
-            ratio, _, row = best
-            stall = stall + 1 if ratio == 0 else 0
-            self.pivot(row, entering)
+            stall = stall + 1 if best[0] == 0 else 0
+            self.pivot(best[3], entering)
             if observer:
                 observer(tag, self)
         raise SimplexCycleError("primal pivot cap exceeded")
@@ -314,14 +384,16 @@ class Tableau:
 
         Leaving is the most negative rhs, ties toward the largest basic id;
         entering minimizes gamma_j / -a_rj over negative row entries, ties
-        toward the smallest id.  After a long run of zero ratios the
-        leaving row becomes the smallest infeasible basic id, the dual form
-        of Bland's rule, which terminates for a linear objective.  Returns
-        False when a row with no negative entry certifies emptiness, True
-        once every rhs is nonnegative.  Under the zero objective every basis
-        is dual feasible, so the pass alone reaches feasibility from any
-        basis.
+        toward the smallest id.  Only those columns are priced: a basic
+        column reads d or zero in the leaving row, so each is nonbasic.
+        After a long run of zero ratios the leaving row becomes the smallest
+        infeasible basic id, the dual form of Bland's rule, which terminates
+        for a linear objective.  Returns False when a row with no negative
+        entry certifies emptiness, True once every rhs is nonnegative.
+        Under the zero objective every basis is dual feasible, so the pass
+        alone reaches feasibility from any basis.
         """
+        form = _objective_form(obj)
         m = len(self.basis)
         stall_limit = self._stall_limit()
         stall = 0
@@ -333,19 +405,18 @@ class Tableau:
                 row = min(infeasible, key=lambda i: self.basis[i])
             else:
                 row = min(infeasible, key=lambda i: (self.rhs[i], -self.basis[i]))
-            gamma = self.gamma(obj)
-            entering = None
-            best_ratio = None
-            for j in sorted(gamma):
-                a = self.body[row][j - 1]
-                if a < 0:
-                    ratio = gamma[j] / (-a)
-                    if best_ratio is None or ratio < best_ratio:
-                        best_ratio = ratio
-                        entering = j
-            if entering is None:
+            prow = self.body[row]
+            cols = [j for j, a in enumerate(prow, 1) if a < 0]
+            if not cols:
                 return False
-            stall = stall + 1 if best_ratio == 0 else 0
+            gamma = self._priced(form, cols)[2]
+            entering = cols[0]
+            best_g, best_a = gamma[entering], -prow[entering - 1]
+            for j in cols[1:]:
+                g, a = gamma[j], -prow[j - 1]
+                if g * best_a < best_g * a:
+                    entering, best_g, best_a = j, g, a
+            stall = stall + 1 if best_g == 0 else 0
             self.pivot(row, entering)
             if observer:
                 observer(tag, self)

@@ -138,7 +138,7 @@ def column_direction(tab, j):
         direction[j - 1] = F(1)
     for i, bid in enumerate(tab.basis):
         if bid <= n:
-            direction[bid - 1] -= tab.body[i][j - 1]
+            direction[bid - 1] -= F(tab.body[i][j - 1], tab.d)
     return tuple(direction)
 
 

@@ -22,7 +22,7 @@ from effcut import (
     solve_lfp,
 )
 from effcut import simplex
-from helpers import PivotCounts, random_instance, vertex_minimum
+from helpers import PivotCounts, random_instance, solve_exact, vertex_minimum
 
 F = Fraction
 
@@ -190,7 +190,7 @@ def test_demo_root_dictionary_rows(demo_instance):
 
     def row(var_id):
         i = tab.basis.index(var_id)
-        return {j: tab.body[i][j - 1] for j in tab.nonbasis()}, tab.rhs[i]
+        return {j: F(tab.body[i][j - 1], tab.d) for j in tab.nonbasis()}, F(tab.rhs[i], tab.d)
 
     assert row(2) == ({1: F(-1, 2), 3: F(3, 2), 5: F(1, 2)}, 3)
     assert row(4) == ({1: F(3, 2), 3: F(-1, 2), 5: F(-1, 2)}, 0)
@@ -297,6 +297,89 @@ def test_observer_sees_monotone_primal_and_consistent_points(demo_instance):
     assert seen, "expected at least one primal pivot"
     assert all(a >= b for a, b in zip(seen, seen[1:]))
     assert seen[-1] == out.value
+
+
+def assert_tableau_is_basis_inverse(tab):
+    """Each body/d and rhs/d equals B^-1 [A | b] of the tableau's own system,
+    solved afresh by Gaussian elimination."""
+    assert tab.d > 0
+    system = tab.system
+    m, ncols = len(system.rows), system.registry_size
+    matrix = [[F(0)] * ncols for _ in range(m)]
+    for k, row in enumerate(system.rows):
+        for j, v in row.coeffs:
+            matrix[k][j - 1] = v
+        matrix[k][system.slack_id(k) - 1] = F(1)
+    basis = [[matrix[r][b - 1] for b in tab.basis] for r in range(m)]
+    for k in range(ncols + 1):
+        if k < ncols:
+            column = [matrix[r][k] for r in range(m)]
+            got = [F(tab.body[i][k], tab.d) for i in range(m)]
+        else:
+            column = [row.rhs for row in system.rows]
+            got = [F(v, tab.d) for v in tab.rhs]
+        assert list(solve_exact(basis, column)) == got
+
+
+def rational(rng, low, high):
+    return F(rng.randint(low, high), rng.randint(1, 6))
+
+
+def test_rational_data_on_the_integer_tableau():
+    # No bench or corpus instance has a denominator in its rows or its
+    # preferences; here every row scales the tableau by its lcm.
+    rng = random.Random(43)
+    tags = []
+
+    def observer(tag, tab):
+        tags.append(tag)
+        assert_tableau_is_basis_inverse(tab)
+
+    outcomes = []
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        A = [tuple(F(int(j == k)) for j in range(n)) for k in range(n)]
+        b = [rational(rng, 1, 12) for _ in range(n)]
+        for _ in range(rng.randint(1, 3)):
+            a = tuple(rational(rng, -6, 6) for _ in range(n))
+            if rng.random() < 0.5:
+                # a'x >= c with c > 0 cuts off the origin.
+                A.append(tuple(-v for v in a))
+                b.append(-rational(rng, 1, 8))
+            else:
+                A.append(a)
+                b.append(rational(rng, 0, 10))
+        poly = Polyhedron(tuple(A), tuple(b))
+        obj = FractionalObjective(
+            p=tuple(rational(rng, -10, 10) for _ in range(n)),
+            q=tuple(rational(rng, 0, 5) for _ in range(n)),
+            alpha=rational(rng, -10, 10),
+            beta=rational(rng, 1, 10),
+        )
+        out = solve_lfp(System.from_polyhedron(poly), obj, observer)
+        best = vertex_minimum(poly, obj)
+        outcomes.append(best is None)
+        if best is None:
+            assert isinstance(out, Infeasible)
+            continue
+        assert out.value == best
+        assert_tableau_is_basis_inverse(out.tableau)
+
+        # One more rational row, warm.
+        a = tuple(rational(rng, -6, 6) for _ in range(n))
+        c = rational(rng, 0, 8)
+        grown = Polyhedron(poly.A + (tuple(-v for v in a),), poly.b + (-c,))
+        row = Row.make({j + 1: v for j, v in enumerate(a)}, ">=", c)
+        warm = add_rows_and_reoptimize(out.tableau, [row], obj, observer)
+        best = vertex_minimum(grown, obj)
+        outcomes.append(best is None)
+        if best is None:
+            assert isinstance(warm, Infeasible)
+        else:
+            assert warm.value == best
+            assert_tableau_is_basis_inverse(warm.tableau)
+    assert any(outcomes) and not all(outcomes)
+    assert {"phase1", "dual", "primal"} <= set(tags)
 
 
 def test_reduced_gradient_of_slackless_function(demo_instance):
