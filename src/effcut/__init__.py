@@ -42,6 +42,7 @@ from .simplex import (
     UnboundedError,
     add_rows_and_reoptimize,
     linear_objective,
+    minimize_each,
     solve_lfp,
 )
 
@@ -75,6 +76,7 @@ __all__ = [
     "linear_objective",
     "load_instance",
     "make_cut",
+    "minimize_each",
     "oracle_solve",
     "pareto_filter",
     "parse_instance",

@@ -70,12 +70,26 @@ def build_cut_report(
 ) -> CutReport:
     """Assemble H, H' and both cut rows at the tableau's current vertex.
 
-    gamma1, when given, must be the first preference's gamma at that
-    vertex (an Optimal carries it); it is priced here otherwise.
+    The vertex is x* = X/d with X read off the integer rhs, so each
+    criterion gradient Qx* + c is (QX + cd)/d: one integer matrix-vector
+    product, reduced on the tableau to f_bar entries over d^2.  gamma1,
+    when given, must be the first preference's gamma at that vertex (an
+    Optimal carries it); it is priced here otherwise.
     """
-    x_star = tableau.original_point()
+    n, d = inst.n, tableau.d
+    X = [0] * n
+    for i, b in enumerate(tableau.basis):
+        if b <= n:
+            X[b - 1] = tableau.rhs[i]
+    cols = tableau.nonbasis()
+    den = d * d
+    grads = (
+        [sum(q * v for q, v in zip(Qi, X)) + c * d for Qi, c in zip(obj.Q, obj.c)]
+        for obj in inst.quadratics
+    )
     f_bar = tuple(
-        tableau.reduced_gradient(obj.gradient(x_star)) for obj in inst.quadratics
+        {j: Fraction(v, den) for j, v in tableau._reduced(grad, 0, cols)[1].items()}
+        for grad in grads
     )
     if gamma1 is None:
         gamma1 = tableau.gamma(inst.fractionals[0])

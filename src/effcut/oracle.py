@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
@@ -19,20 +18,20 @@ class EnumerationCapError(RuntimeError):
 
 
 def coordinate_bounds(inst: Instance) -> tuple[int, ...]:
-    """Per-coordinate integer upper bounds from LP maxima."""
+    """Per-coordinate integer upper bounds from LP maxima; all -1 when the
+    region is empty."""
     from . import simplex
 
-    base = simplex.System.from_polyhedron(inst.polyhedron)
-    bounds = []
-    for k in range(inst.n):
-        p = tuple(
-            Fraction(-1) if i == k else Fraction(0) for i in range(inst.n)
-        )
-        out = simplex.solve_lfp(base, simplex.linear_objective(p))
-        if isinstance(out, simplex.Infeasible):
-            return tuple(-1 for _ in range(inst.n))
-        bounds.append(int(-out.value))  # floor of the maximum; value is exact
-    return tuple(bounds)
+    objectives = [
+        simplex.linear_objective([-int(i == k) for i in range(inst.n)])
+        for k in range(inst.n)
+    ]
+    minima = simplex.minimize_each(
+        simplex.System.from_polyhedron(inst.polyhedron), objectives
+    )
+    if isinstance(minima, simplex.Infeasible):
+        return tuple(-1 for _ in range(inst.n))
+    return tuple(int(-v) for v in minima)  # floors: each maximum is exact, >= 0
 
 
 def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list[IntPoint]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -87,6 +88,13 @@ class Row:
             return self
         return Row(tuple((j, -v) for j, v in self.coeffs), "<=", -self.rhs)
 
+    @cached_property
+    def integers(self) -> tuple[tuple[int, ...], int]:
+        """Coefficients, then rhs, as integer numerators over their lcm L,
+        and L: the row times L is an integer row."""
+        nums, scale = _integers([v for _, v in self.coeffs] + [self.rhs])
+        return tuple(nums), scale
+
 
 @dataclass
 class System:
@@ -127,17 +135,33 @@ class System:
     def copy(self) -> "System":
         return System(self.n, list(self.rows))
 
-    def extend_point(self, x: Sequence) -> tuple[Fraction, ...]:
-        """Registry-wide vector: originals followed by slack values."""
-        vals = [Fraction(v) for v in x]
-        if len(vals) != self.n:
-            raise ValueError("point has wrong dimension")
-        for row in self.rows:
-            vals.append(row.rhs - sum(v * vals[j - 1] for j, v in row.coeffs))
-        return tuple(vals)
-
     def satisfied_by(self, x: Sequence) -> bool:
-        return all(v >= 0 for v in self.extend_point(x))
+        """Whether the rational point x and every slack it leaves are
+        nonnegative.
+
+        Runs in ints: the registry values are numerators over one positive
+        denominator, at first the lcm of x's denominators.  A row whose
+        integer form has lcm L puts its slack over L times that
+        denominator, so the values before it are rescaled by L, as
+        Tableau.append_row rescales the tableau.
+        """
+        if len(x) != self.n:
+            raise ValueError("point has wrong dimension")
+        vals, den = _integers(x)
+        if any(v < 0 for v in vals):
+            return False
+        for row in self.rows:
+            nums, scale = row.integers
+            slack = nums[-1] * den
+            for (j, _), a in zip(row.coeffs, nums):
+                slack -= a * vals[j - 1]
+            if slack < 0:
+                return False
+            if scale != 1:
+                vals = [v * scale for v in vals]
+                den *= scale
+            vals.append(slack)
+        return True
 
 
 class Tableau:
@@ -181,15 +205,14 @@ class Tableau:
         twin.d = self.d
         return twin
 
-    def point(self) -> tuple[Fraction, ...]:
-        """Current vertex over the registry."""
-        vals = [Fraction(0)] * self.system.registry_size
-        for i, j in enumerate(self.basis):
-            vals[j - 1] = Fraction(self.rhs[i], self.d)
-        return tuple(vals)
-
     def original_point(self) -> tuple[Fraction, ...]:
-        return self.point()[: self.system.n]
+        """Current vertex over the original variables."""
+        n = self.system.n
+        vals = [Fraction(0)] * n
+        for i, j in enumerate(self.basis):
+            if j <= n:
+                vals[j - 1] = Fraction(self.rhs[i], self.d)
+        return tuple(vals)
 
     def append_row(self, row: Row) -> int:
         """Add one constraint below an existing basis; returns the slack id.
@@ -203,7 +226,7 @@ class Tableau:
         """
         slack = self.system.add_row(row)
         stored = self.system.rows[-1]
-        nums, scale = _integers([v for _, v in stored.coeffs] + [stored.rhs])
+        nums, scale = stored.integers
         cost = [0] * (slack - 1)
         for (j, _), v in zip(stored.coeffs, nums):
             cost[j - 1] = v
@@ -282,17 +305,6 @@ class Tableau:
 
     def gamma(self, obj: FractionalObjective) -> dict[int, Fraction]:
         return self.price(obj)[2]
-
-    def reduced_gradient(self, grad: Sequence) -> dict[int, Fraction]:
-        """Reduced row of a criterion gradient at the current vertex.
-
-        Entry j is grad_j minus the basic-gradient combination of column j;
-        slack positions carry zero gradient.
-        """
-        cost, scale = _integers(grad)
-        den = scale * self.d
-        reduced = self._reduced(cost, 0, self.nonbasis())[1]
-        return {j: Fraction(v, den) for j, v in reduced.items()}
 
     # -- pivoting ---------------------------------------------------------
 
@@ -469,6 +481,21 @@ def solve_lfp(
     if not tab._dual(linear_objective(()), observer, tag="phase1"):
         return Infeasible()
     return _finish(tab, tab._primal(objective, observer))
+
+
+def minimize_each(
+    system: System, objectives: Iterable[FractionalObjective]
+) -> list[Fraction] | Infeasible:
+    """Minimum values of several objectives over one system, on one tableau.
+
+    The zero-objective dual pass runs once; each primal pass then starts
+    from the previous optimum, which stays a feasible basis, and each
+    optimum is checked as solve_lfp checks its own.
+    """
+    tab = Tableau(system)
+    if not tab._dual(linear_objective(()), tag="phase1"):
+        return Infeasible()
+    return [_finish(tab, tab._primal(obj)).value for obj in objectives]
 
 
 def add_rows_and_reoptimize(

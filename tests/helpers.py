@@ -7,11 +7,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from effcut import FractionalObjective, Instance, Polyhedron, QuadraticObjective
+from effcut.simplex import _integers
 
 F = Fraction
 
 
-def _quadratics(rng: random.Random, n: int) -> tuple[QuadraticObjective, ...]:
+def quadratics(rng: random.Random, n: int) -> tuple[QuadraticObjective, ...]:
     """Two or three criteria; Q = M'M keeps every one convex."""
     quads = []
     for _ in range(rng.choice((2, 3))):
@@ -56,7 +57,7 @@ def random_instance(rng: random.Random) -> Instance:
     extra rows have nonnegative rhs).
     """
     n = rng.randint(1, 3)
-    quads = _quadratics(rng, n)
+    quads = quadratics(rng, n)
     fracs = _fractionals(rng, n)
     rows = [[1 if j == k else 0 for j in range(n)] for k in range(n)]
     rhs = [rng.randint(0, 5) for _ in range(n)]
@@ -74,7 +75,7 @@ def binary_instance(rng: random.Random) -> Instance:
     origin stays feasible and D keeps about 27 points.
     """
     n = 5
-    quads = _quadratics(rng, n)
+    quads = quadratics(rng, n)
     rows = [[1 if j == k else 0 for j in range(n)] for k in range(n)]
     rhs = [1] * n
     for _ in range(3):
@@ -83,6 +84,43 @@ def binary_instance(rng: random.Random) -> Instance:
         rows.append(a)
         rhs.append(rng.randint((top + 1) // 2, top))
     return _instance(n, quads, _fractionals(rng, n), rows, rhs)
+
+
+# Seed of the rational systems that test_simplex and test_cuts share.
+RATIONAL_SEED = 43
+
+
+def rational(rng: random.Random, low: int, high: int) -> Fraction:
+    return F(rng.randint(low, high), rng.randint(1, 6))
+
+
+def rational_case(rng: random.Random) -> tuple[Polyhedron, FractionalObjective]:
+    """A box of rational sides with one to three rational rows, half of
+    them a'x >= c with c > 0 (cutting off the origin), and a rational
+    preference; the region may be empty."""
+    n = rng.randint(1, 3)
+    A = [tuple(F(int(j == k)) for j in range(n)) for k in range(n)]
+    b = [rational(rng, 1, 12) for _ in range(n)]
+    for _ in range(rng.randint(1, 3)):
+        a = tuple(rational(rng, -6, 6) for _ in range(n))
+        if rng.random() < 0.5:
+            A.append(tuple(-v for v in a))
+            b.append(-rational(rng, 1, 8))
+        else:
+            A.append(a)
+            b.append(rational(rng, 0, 10))
+    obj = FractionalObjective(
+        p=tuple(rational(rng, -10, 10) for _ in range(n)),
+        q=tuple(rational(rng, 0, 5) for _ in range(n)),
+        alpha=rational(rng, -10, 10),
+        beta=rational(rng, 1, 10),
+    )
+    return Polyhedron(tuple(A), tuple(b)), obj
+
+
+def rational_row(rng: random.Random, n: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(a, c) of one more rational row a'x >= c."""
+    return tuple(rational(rng, -6, 6) for _ in range(n)), rational(rng, 0, 8)
 
 
 class PivotCounts(dict):
@@ -133,3 +171,35 @@ def vertex_minimum(poly: Polyhedron, objective: FractionalObjective):
         if best is None or val < best:
             best = val
     return best
+
+
+# -- Fraction references for the integer simplex paths ----------------------
+
+
+def extend_point(system, x):
+    """Registry-wide vector of a point: originals, then each slack in row
+    order, in Fractions."""
+    vals = [F(v) for v in x]
+    if len(vals) != system.n:
+        raise ValueError("point has wrong dimension")
+    for row in system.rows:
+        vals.append(row.rhs - sum(v * vals[j - 1] for j, v in row.coeffs))
+    return tuple(vals)
+
+
+def tableau_point(tab):
+    """The tableau's current vertex over the whole registry."""
+    vals = [F(0)] * tab.ncols
+    for i, j in enumerate(tab.basis):
+        vals[j - 1] = F(tab.rhs[i], tab.d)
+    return tuple(vals)
+
+
+def reduced_gradient(tab, grad):
+    """Reduced row of a criterion gradient at the tableau's vertex: entry j
+    is grad_j minus the basic-gradient combination of column j, and slack
+    positions carry zero gradient."""
+    cost, scale = _integers([F(v) for v in grad])
+    den = scale * tab.d
+    reduced = tab._reduced(cost, 0, tab.nonbasis())[1]
+    return {j: F(v, den) for j, v in reduced.items()}

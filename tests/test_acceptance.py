@@ -22,7 +22,7 @@ from effcut import (
 )
 from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut import test_moiqp_efficiency as moiqp_efficiency
-from helpers import random_instance
+from helpers import extend_point
 
 F = Fraction
 
@@ -278,7 +278,7 @@ def test_criterion_7_cut_safety(corpus, corpus_cache, acceptance_report):
             for y in sets.X_Eff:
                 if y == x_star or not system.satisfied_by(y):
                     continue
-                ext = system.extend_point(y)
+                ext = extend_point(system, y)
                 checked += 1
                 for name, indices in (("H", ev["H"]), ("H'", ev["H_prime"])):
                     if sum(ext[j - 1] for j in indices) < 1:

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from effcut import (
+    Infeasible,
+    Instance,
     Optimal,
     Row,
     System,
@@ -16,7 +18,14 @@ from effcut import (
     make_cut,
     solve_lfp,
 )
-from helpers import random_instance
+from helpers import (
+    RATIONAL_SEED,
+    quadratics,
+    random_instance,
+    rational_case,
+    rational_row,
+    reduced_gradient,
+)
 
 F = Fraction
 
@@ -167,6 +176,42 @@ def test_f_bar_identity_on_random_instances():
             for j in tab.nonbasis():
                 d = column_direction(tab, j)
                 assert row[j] == sum(g * v for g, v in zip(grad, d))
+
+
+def test_f_bar_equals_the_reduced_fraction_gradient():
+    # Integer instances, whose root vertices are often fractional, then
+    # the rational systems of the integer-tableau test: each row scales
+    # the tableau by its lcm L, so d != 1 and the integer gradient
+    # (QX + cd)/d is reduced over d^2.  Those are checked cold and after
+    # one more rational row warm.
+    cases = []
+    rng = random.Random(31)
+    for _ in range(20):
+        inst = random_instance(rng)
+        out = solve_lfp(System.from_polyhedron(inst.polyhedron), inst.fractionals[0])
+        cases.append((inst, out.tableau))
+    rng, quad_rng = random.Random(RATIONAL_SEED), random.Random(59)
+    for _ in range(30):
+        poly, obj = rational_case(rng)
+        out = solve_lfp(System.from_polyhedron(poly), obj)
+        if isinstance(out, Infeasible):
+            continue
+        quads = quadratics(quad_rng, poly.n)
+        inst = Instance(poly.n, len(quads), quads, (obj, obj), poly)
+        cases.append((inst, out.tableau.clone()))
+        a, c = rational_row(rng, poly.n)
+        row = Row.make({j + 1: v for j, v in enumerate(a)}, ">=", c)
+        warm = add_rows_and_reoptimize(out.tableau, [row], obj)
+        if isinstance(warm, Optimal):
+            cases.append((inst, warm.tableau))
+    fractional = rescaled = 0
+    for inst, tab in cases:
+        x_star = tab.original_point()
+        want = tuple(reduced_gradient(tab, obj.gradient(x_star)) for obj in inst.quadratics)
+        assert build_cut_report(inst, tab).f_bar == want
+        fractional += any(v.denominator != 1 for v in x_star)
+        rescaled += tab.d != 1 and any(r.integers[1] != 1 for r in tab.system.rows)
+    assert fractional and rescaled
 
 
 def test_cut_report_from_the_optimum_gamma_equals_a_fresh_pricing():

@@ -1,18 +1,29 @@
 """Brute-force oracle: enumeration, dominance filtering, reference sets."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from effcut import (
     EnumerationCapError,
+    FractionalObjective,
+    Infeasible,
+    Instance,
     Polyhedron,
+    QuadraticObjective,
+    System,
     coordinate_bounds,
     enumerate_feasible,
+    linear_objective,
     oracle_solve,
     pareto_filter,
+    solve_lfp,
 )
-from helpers import random_instance
+from helpers import binary_instance, random_instance
+
+F = Fraction
 
 DEMO_X_Q = (
     (0, 0, 1),
@@ -41,6 +52,50 @@ DEMO_X_EFF = ((0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1))
 
 def test_demo_coordinate_bounds(demo_instance):
     assert coordinate_bounds(demo_instance) == (3, 3, 2)
+
+
+def cold_bounds(inst):
+    """Floors of the coordinate maxima, one fresh solve_lfp each."""
+    system = System.from_polyhedron(inst.polyhedron)
+    bounds = []
+    for k in range(inst.n):
+        out = solve_lfp(system, linear_objective([-int(i == k) for i in range(inst.n)]))
+        if isinstance(out, Infeasible):
+            return (-1,) * inst.n
+        bounds.append(math.floor(-out.value))
+    return tuple(bounds)
+
+
+def region(A, b):
+    """An instance over {x >= 0 : Ax <= b} with placeholder objectives."""
+    n = len(A[0])
+    zero = tuple(F(0) for _ in range(n))
+    return Instance(
+        n=n,
+        r=2,
+        quadratics=(QuadraticObjective(((0,) * n,) * n, (0,) * n),) * 2,
+        fractionals=(FractionalObjective(zero, zero, F(0), F(1)),) * 2,
+        polyhedron=Polyhedron(A, b),
+    )
+
+
+def test_warm_coordinate_bounds_equal_cold_maxima(corpus):
+    rng = random.Random(61)
+    cases = list(corpus) + [binary_instance(rng) for _ in range(50)]
+    for inst in cases:
+        assert coordinate_bounds(inst) == cold_bounds(inst)
+    # Empty: x1 + x2 <= 1 and x1 + x2 >= 2.
+    empty = region(((1, 1), (-1, -1)), (1, -2))
+    assert coordinate_bounds(empty) == cold_bounds(empty) == (-1, -1)
+    # The segment (2, 1, t) with 2t <= 3 floors a fractional maximum.
+    segment = region(
+        ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 2)), (2, -2, 1, -1, 3)
+    )
+    assert coordinate_bounds(segment) == cold_bounds(segment) == (2, 1, 1)
+    # The single point (2, 1).
+    single = region(((1, 0), (-1, 0), (0, 1), (0, -1)), (2, -2, 1, -1))
+    assert coordinate_bounds(single) == cold_bounds(single) == (2, 1)
+    assert enumerate_feasible(single) == [(2, 1)]
 
 
 def test_demo_enumeration(demo_instance):

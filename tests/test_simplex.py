@@ -22,7 +22,19 @@ from effcut import (
     solve_lfp,
 )
 from effcut import simplex
-from helpers import PivotCounts, random_instance, solve_exact, vertex_minimum
+from helpers import (
+    RATIONAL_SEED,
+    PivotCounts,
+    extend_point,
+    random_instance,
+    rational,
+    rational_case,
+    rational_row,
+    reduced_gradient,
+    solve_exact,
+    tableau_point,
+    vertex_minimum,
+)
 
 F = Fraction
 
@@ -88,11 +100,58 @@ def test_add_row_rejects_unknown_variable(demo_instance):
 def test_extend_point_computes_slacks_in_row_order(demo_instance):
     system = System.from_polyhedron(demo_instance.polyhedron)
     system.add_row(Row.make({3: 1, 5: 1}, ">=", 1))
-    ext = system.extend_point((0, 1, 1))
+    ext = extend_point(system, (0, 1, 1))
     # slack4 = 3-2, slack5 = 6-5, slack6 = (x3 + slack5) - 1
     assert ext == (0, 1, 1, 1, 1, 1)
     assert system.satisfied_by((0, 1, 1))
     assert not system.satisfied_by((0, 3, 0))  # x3 + slack5 = 0 < 1
+
+
+def test_satisfied_by_matches_the_fraction_reference():
+    # Rows with rational coefficients in both senses, over registry ids
+    # that include earlier slacks; about a third of them are made tight
+    # at the first point, so some slacks are exactly zero.
+    rng = random.Random(47)
+    seen = {"verdicts": set(), "slack refs": 0, "tight and satisfied": 0}
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        system = System(n)
+        x = tuple(rational(rng, 0, 4) for _ in range(n))
+        tight = False
+        for _ in range(rng.randint(1, 4)):
+            size = system.registry_size
+            ids = rng.sample(range(1, size + 1), rng.randint(1, size))
+            coeffs = {j: rational(rng, -4, 4) for j in ids}
+            seen["slack refs"] += max(ids) > n
+            if rng.random() < 0.3:
+                ext = extend_point(system, x)
+                rhs = sum(v * ext[j - 1] for j, v in coeffs.items())
+                tight = True
+            else:
+                rhs = rational(rng, -6, 10)
+            system.add_row(Row.make(coeffs, rng.choice(("<=", ">=")), rhs))
+        points = [x, tuple(v + rational(rng, -2, 2) for v in x), tuple(range(n))]
+        for y in points:
+            want = all(v >= 0 for v in extend_point(system, y))
+            assert system.satisfied_by(y) == want
+            seen["verdicts"].add(want)
+        seen["tight and satisfied"] += tight and system.satisfied_by(x)
+        with pytest.raises(ValueError):
+            system.satisfied_by(x + (F(0),))
+        with pytest.raises(ValueError):
+            system.satisfied_by(x[:-1])
+    assert seen["verdicts"] == {True, False}
+    assert seen["slack refs"] and seen["tight and satisfied"]
+
+
+def test_finish_rejects_an_optimum_outside_its_system(demo_instance):
+    obj = demo_instance.fractionals[0]
+    tab = solve_lfp(System.from_polyhedron(demo_instance.polyhedron), obj).tableau
+    priced = tab._primal(obj)
+    # A row the tableau never saw, violated at every x >= 0.
+    tab.system.add_row(Row.make({1: 1}, "<=", -1))
+    with pytest.raises(RuntimeError, match="violates its own system"):
+        simplex._finish(tab, priced)
 
 
 def test_system_copy_is_independent(demo_instance):
@@ -288,8 +347,8 @@ def test_observer_sees_monotone_primal_and_consistent_points(demo_instance):
 
     def observer(tag, tab):
         x = tab.original_point()
-        ext = tab.system.extend_point(x)
-        assert ext == tab.point()
+        ext = extend_point(tab.system, x)
+        assert ext == tableau_point(tab)
         if tag == "primal" and all(v >= 0 for v in tab.rhs):
             seen.append(obj.value(x))
 
@@ -321,14 +380,10 @@ def assert_tableau_is_basis_inverse(tab):
         assert list(solve_exact(basis, column)) == got
 
 
-def rational(rng, low, high):
-    return F(rng.randint(low, high), rng.randint(1, 6))
-
-
 def test_rational_data_on_the_integer_tableau():
     # No bench or corpus instance has a denominator in its rows or its
     # preferences; here every row scales the tableau by its lcm.
-    rng = random.Random(43)
+    rng = random.Random(RATIONAL_SEED)
     tags = []
 
     def observer(tag, tab):
@@ -337,25 +392,8 @@ def test_rational_data_on_the_integer_tableau():
 
     outcomes = []
     for _ in range(30):
-        n = rng.randint(1, 3)
-        A = [tuple(F(int(j == k)) for j in range(n)) for k in range(n)]
-        b = [rational(rng, 1, 12) for _ in range(n)]
-        for _ in range(rng.randint(1, 3)):
-            a = tuple(rational(rng, -6, 6) for _ in range(n))
-            if rng.random() < 0.5:
-                # a'x >= c with c > 0 cuts off the origin.
-                A.append(tuple(-v for v in a))
-                b.append(-rational(rng, 1, 8))
-            else:
-                A.append(a)
-                b.append(rational(rng, 0, 10))
-        poly = Polyhedron(tuple(A), tuple(b))
-        obj = FractionalObjective(
-            p=tuple(rational(rng, -10, 10) for _ in range(n)),
-            q=tuple(rational(rng, 0, 5) for _ in range(n)),
-            alpha=rational(rng, -10, 10),
-            beta=rational(rng, 1, 10),
-        )
+        poly, obj = rational_case(rng)
+        n = poly.n
         out = solve_lfp(System.from_polyhedron(poly), obj, observer)
         best = vertex_minimum(poly, obj)
         outcomes.append(best is None)
@@ -366,8 +404,7 @@ def test_rational_data_on_the_integer_tableau():
         assert_tableau_is_basis_inverse(out.tableau)
 
         # One more rational row, warm.
-        a = tuple(rational(rng, -6, 6) for _ in range(n))
-        c = rational(rng, 0, 8)
+        a, c = rational_row(rng, n)
         grown = Polyhedron(poly.A + (tuple(-v for v in a),), poly.b + (-c,))
         row = Row.make({j + 1: v for j, v in enumerate(a)}, ">=", c)
         warm = add_rows_and_reoptimize(out.tableau, [row], obj, observer)
@@ -389,7 +426,7 @@ def test_reduced_gradient_of_slackless_function(demo_instance):
 
     tab = Tableau(system)
     grad = (7, -3, 2)
-    assert tab.reduced_gradient(grad) == {1: 7, 2: -3, 3: 2}
+    assert reduced_gradient(tab, grad) == {1: 7, 2: -3, 3: 2}
 
 
 # -- forced paths ------------------------------------------------------------
