@@ -128,25 +128,26 @@ def run(config: RunConfig) -> int:
             print("error: %s" % v, file=sys.stderr)
         return EXIT_INVALID
 
-    if config.mode == "oracle":
-        try:
-            sets = oracle.oracle_solve(inst, config.enumeration_cap)
-        except oracle.EnumerationCapError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_BUDGET
-        _emit(render_oracle_result(sets), config.output_path)
-        return EXIT_OK
-
     try:
-        result = search.solve(
-            inst,
-            branching_rule=config.branching_rule,
-            node_budget=config.node_budget,
-            enum_cap=config.enumeration_cap,
-        )
+        return _run_mode(inst, config)
     except oracle.EnumerationCapError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
+
+
+def _run_mode(inst, config: RunConfig) -> int:
+    """Run a valid instance in the solve, oracle or check mode."""
+    if config.mode == "oracle":
+        sets = oracle.oracle_solve(inst, config.enumeration_cap)
+        _emit(render_oracle_result(sets), config.output_path)
+        return EXIT_OK
+
+    result = search.solve(
+        inst,
+        branching_rule=config.branching_rule,
+        node_budget=config.node_budget,
+        enum_cap=config.enumeration_cap,
+    )
     if config.trace_path:
         with open(config.trace_path, "w", encoding="utf-8") as fh:
             fh.write(search.render_trace(result.trace))
@@ -156,11 +157,7 @@ def run(config: RunConfig) -> int:
         return EXIT_OK if result.complete else EXIT_BUDGET
 
     # check: compare the two independently computed efficient sets
-    try:
-        sets = oracle.oracle_solve(inst, config.enumeration_cap)
-    except oracle.EnumerationCapError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
+    sets = oracle.oracle_solve(inst, config.enumeration_cap)
     agree = set(result.x_eff) == set(sets.X_Eff)
     _emit(render_check_result(result.x_eff, sets.X_Eff, agree), config.output_path)
     if not result.complete:

@@ -48,9 +48,12 @@ def build_H(f_bar: FBar) -> tuple[int, ...]:
 
 
 def build_H_prime(
-    gamma1: Mapping[int, Fraction], gamma2: Mapping[int, Fraction]
+    gamma1: Mapping[int, Fraction | int], gamma2: Mapping[int, Fraction | int]
 ) -> tuple[int, ...]:
-    """Columns improving the second preference, plus columns flat in both."""
+    """Columns improving the second preference, plus columns flat in both.
+
+    Only signs and zeros count, so either row may be the reduced costs
+    times any positive scale, such as the integer numerators G."""
     out = []
     for j in sorted(gamma1):
         if gamma2[j] < 0 or (gamma1[j] == 0 and gamma2[j] == 0):
@@ -74,7 +77,8 @@ def build_cut_report(
     criterion gradient Qx* + c is (QX + cd)/d: one integer matrix-vector
     product, reduced on the tableau to f_bar entries over d^2.  gamma1,
     when given, must be the first preference's gamma at that vertex (an
-    Optimal carries it); it is priced here otherwise.
+    Optimal carries it); it is priced here otherwise, like gamma2, as the
+    integer numerators G of Tableau._priced, which is all H' needs.
     """
     n, d = inst.n, tableau.d
     X = [0] * n
@@ -92,8 +96,8 @@ def build_cut_report(
         for grad in grads
     )
     if gamma1 is None:
-        gamma1 = tableau.gamma(inst.fractionals[0])
-    gamma2 = tableau.gamma(inst.fractionals[1])
+        gamma1 = tableau._priced(inst.fractionals[0], cols)[2]
+    gamma2 = tableau._priced(inst.fractionals[1], cols)[2]
     H = build_H(f_bar)
     H_prime = build_H_prime(gamma1, gamma2)
     return CutReport(

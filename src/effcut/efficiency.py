@@ -14,8 +14,9 @@ slacks in closed form, and the scans run on integers only:
   T1  Q_i, c_i and y are integer, so F_i(y) = 2 f_i(y) = y'Q_i y + 2 c_i'y
       is an integer.  The maximum is (sum_i F_i(x*) - sum_i F_i(y)) / 2
       over the y with F(y) <= F(x*).
-  T2  With L_s the lcm of the denominators of p_s, q_s, alpha_s, beta_s,
-      P_s = L_s (p_s'y + alpha_s) and Q_s = L_s (q_s'y + beta_s) are
+  T2  With L_s the least common denominator of p_s, q_s, alpha_s and
+      beta_s, read off FractionalObjective.integers with the cleared
+      data, P_s = L_s (p_s'y + alpha_s) and Q_s = L_s (q_s'y + beta_s) are
       integers, Q_s(y) > 0 on D, and D_s = L_s Q_s(x*) turns each slack
       into w_s = n_s / D_s with the integer
       n_s(y) = Q_s(y) P_s(x*) - P_s(y) Q_s(x*).  The maximum is
@@ -28,7 +29,6 @@ the order of D; the maximum comes back as an exact Fraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
@@ -111,12 +111,10 @@ class PointTable:
         if self._t2 is None:
             scales, forms, consts = [], [], []
             for fr in self.inst.fractionals:
-                data = (*fr.p, *fr.q, fr.alpha, fr.beta)
-                L = math.lcm(*(Fraction(v).denominator for v in data))
+                p, alpha, q, beta, L = fr.integers
                 scales.append(L)
-                for coeffs, const in ((fr.p, fr.alpha), (fr.q, fr.beta)):
-                    forms.append([int(v * L) for v in coeffs])
-                    consts.append(int(const * L))
+                forms += (p, q)
+                consts += (alpha, beta)
             rows = [_linear_forms(forms, consts, y) for y in self.points]
             if any(row[1] <= 0 or row[3] <= 0 for row in rows):
                 raise ValueError("a preference denominator is not positive on D")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence, TextIO
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -17,6 +19,13 @@ IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
+
+
+def _integers(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of rational values over their least common
+    denominator, and that denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class InstanceFormatError(ValueError):
@@ -68,25 +77,29 @@ class QuadraticObjective:
         )
 
     def is_psd(self) -> bool:
-        """Exact positive-semidefiniteness via pivoted elimination.
+        """Exact positive-semidefiniteness via pivoted elimination in ints.
 
         Repeatedly eliminates on a positive diagonal pivot; PSD holds iff
-        the process consumes the matrix or leaves an all-zero block.
+        the process consumes the matrix or leaves an all-zero block.  The
+        update is Bareiss's, m_ij <- (p m_ij - m_ip m_pj) / prev with p the
+        pivot and prev the one before it, and divides exactly: each entry
+        is the rational elimination's entry times prev > 0, so every sign
+        and zero, hence the verdict, is the rational one.
         """
-        m = [[Fraction(v) for v in row] for row in self.Q]
+        m = [list(row) for row in self.Q]
         active = list(range(self.n))
+        prev = 1
         while active:
             piv = next((i for i in active if m[i][i] > 0), None)
             if piv is None:
                 return all(m[i][j] == 0 for i in active for j in active)
-            d = m[piv][piv]
-            rest = [i for i in active if i != piv]
-            for i in rest:
-                f = m[i][piv] / d
-                if f:
-                    for j in rest:
-                        m[i][j] -= f * m[piv][j]
-            active = rest
+            p, prow = m[piv][piv], m[piv]
+            active.remove(piv)
+            for i in active:
+                row, f = m[i], m[i][piv]
+                for j in active:
+                    row[j] = (p * row[j] - f * prow[j]) // prev
+            prev = p
         return True
 
 
@@ -106,6 +119,15 @@ class FractionalObjective:
     @property
     def n(self) -> int:
         return len(self.p)
+
+    @cached_property
+    def integers(self) -> tuple[tuple[int, ...], int, tuple[int, ...], int, int]:
+        """(p, alpha, q, beta, L): all four as integer numerators over one
+        least common denominator L, so numerator and denominator times L
+        are integer.  Pricing and T2 both read it."""
+        n = self.n
+        nums, scale = _integers([*self.p, self.alpha, *self.q, self.beta])
+        return tuple(nums[:n]), nums[n], tuple(nums[n + 1 : -1]), nums[-1], scale
 
     def numerator(self, x: Sequence[Fraction | int]) -> Fraction:
         if len(x) != self.n:
@@ -389,7 +411,7 @@ def validate_instance(inst: Instance) -> list[str]:
 
     violations: list[str] = []
     base = simplex.System.from_polyhedron(inst.polyhedron)
-    out = simplex.solve_lfp(base, simplex.linear_objective(()))
+    out = simplex.solve_lfp(base, simplex.ZERO_OBJECTIVE)
     if isinstance(out, simplex.Infeasible):
         violations.append("empty feasible region")
     else:

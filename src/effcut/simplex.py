@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .instance import FractionalObjective, Polyhedron
+from .instance import FractionalObjective, Polyhedron, _integers
 
 # Pivot-count guards. The stall limit flips tie-breaking to Bland's rule
 # inside a run of degenerate pivots; the hard cap aborts the loop outright.
@@ -47,18 +46,8 @@ def linear_objective(p: Sequence, alpha=0) -> FractionalObjective:
     return FractionalObjective(pt, (Fraction(0),) * len(pt), Fraction(alpha), Fraction(1))
 
 
-def _integers(values: Sequence) -> tuple[list[int], int]:
-    """Integer numerators of rational values over their least common
-    denominator, and that denominator."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def _objective_form(obj: FractionalObjective):
-    """Numerator and denominator of obj as integer (cost, const, scale)."""
-    p, lp = _integers([*obj.p, obj.alpha])
-    q, lq = _integers([*obj.q, obj.beta])
-    return (p[:-1], p[-1], lp), (q[:-1], q[-1], lq)
+# The objective of the feasibility pass: every basis is dual feasible under it.
+ZERO_OBJECTIVE = linear_objective(())
 
 
 @dataclass(frozen=True)
@@ -90,8 +79,8 @@ class Row:
 
     @cached_property
     def integers(self) -> tuple[tuple[int, ...], int]:
-        """Coefficients, then rhs, as integer numerators over their lcm L,
-        and L: the row times L is an integer row."""
+        """Coefficients, then rhs, as integer numerators over their least
+        common denominator L, and L: the row times L is an integer row."""
         nums, scale = _integers([v for _, v in self.coeffs] + [self.rhs])
         return tuple(nums), scale
 
@@ -140,8 +129,8 @@ class System:
         nonnegative.
 
         Runs in ints: the registry values are numerators over one positive
-        denominator, at first the lcm of x's denominators.  A row whose
-        integer form has lcm L puts its slack over L times that
+        denominator, at first the least common one of x.  A row whose
+        integer form is over L puts its slack over L times that
         denominator, so the values before it are rescaled by L, as
         Tableau.append_row rescales the tableau.
         """
@@ -220,7 +209,7 @@ class Tableau:
         The row sum_j a_j x_j + s = rhs is the reduced row of the linear form
         a'x - rhs with the slack s as its basic variable: basic columns read
         zero, and the new rhs is minus the form's vertex value, possibly
-        negative.  A row with denominators is first scaled by their lcm L;
+        negative.  A row over the common denominator L is first scaled by L;
         the whole tableau and d are scaled by L with it, which makes it the
         tableau of the integer system whose new slack has coefficient L.
         """
@@ -272,39 +261,30 @@ class Tableau:
             reduced[j] = v
         return value, reduced
 
-    def _priced(self, form, cols: Sequence[int]):
-        """Integer pricing (Pn, Qn, G) of an objective form over cols.
+    def _priced(self, obj: FractionalObjective, cols: Sequence[int]):
+        """Integer pricing (Pn, Qn, G) of an objective over cols.
 
-        With the form's denominators Lp and Lq, P = Pn / (Lp d), Q = Qn /
-        (Lq d) and gamma_j = G_j / (Lp Lq d^2), where G_j = Qn E_j - Pn T_j
-        for the numerator's and denominator's reduced entries E_j / (Lp d)
-        and T_j / (Lq d).  The common denominator is positive, so G_j has
-        the sign of gamma_j.
+        With the objective's integer form over L (obj.integers) and the
+        one scale s = L d, P = Pn / s, Q = Qn / s and gamma_j = G_j / s^2,
+        where G_j = Qn E_j - Pn T_j for the numerator's and denominator's
+        reduced entries E_j / s and T_j / s.  s is positive, so G_j has the
+        sign of gamma_j.
         """
-        (p, alpha, _), (q, beta, _) = form
+        p, alpha, q, beta, _ = obj.integers
         Pn, eta = self._reduced(p, alpha, cols)
         Qn, theta = self._reduced(q, beta, cols)
         return Pn, Qn, {j: Qn * eta[j] - Pn * theta[j] for j in cols}
 
-    def _fractions(self, form, priced):
-        """The integer pricing (Pn, Qn, G) of form as Fractions (P, Q, gamma)."""
-        (_, _, lp), (_, _, lq) = form
+    def _fractions(self, obj: FractionalObjective, priced):
+        """The integer pricing (Pn, Qn, G) of obj as Fractions (P, Q, gamma)."""
         Pn, Qn, G = priced
-        d = self.d
-        den = lp * lq * d * d
-        return (
-            Fraction(Pn, lp * d),
-            Fraction(Qn, lq * d),
-            {j: Fraction(g, den) for j, g in G.items()},
-        )
+        s = obj.integers[-1] * self.d
+        den = s * s
+        return Fraction(Pn, s), Fraction(Qn, s), {j: Fraction(g, den) for j, g in G.items()}
 
     def price(self, obj: FractionalObjective):
         """(P, Q, gamma) of a fractional objective at the current vertex."""
-        form = _objective_form(obj)
-        return self._fractions(form, self._priced(form, self.nonbasis()))
-
-    def gamma(self, obj: FractionalObjective) -> dict[int, Fraction]:
-        return self.price(obj)[2]
+        return self._fractions(obj, self._priced(obj, self.nonbasis()))
 
     # -- pivoting ---------------------------------------------------------
 
@@ -359,15 +339,14 @@ class Tableau:
         which the stall-local linearity of gamma makes terminating.  Ratios
         compare by cross-multiplication.
         """
-        form = _objective_form(obj)
         m = len(self.basis)
         stall_limit = self._stall_limit()
         stall = 0
         for _ in range(self._hard_cap()):
-            priced = self._priced(form, self.nonbasis())
+            priced = self._priced(obj, self.nonbasis())
             entering = min((j for j, g in priced[2].items() if g < 0), default=None)
             if entering is None:
-                return self._fractions(form, priced)
+                return self._fractions(obj, priced)
             col = entering - 1
             bland = stall > stall_limit
             best = None  # (rhs, entry, key, row) of the least ratio so far
@@ -405,7 +384,6 @@ class Tableau:
         Under the zero objective every basis is dual feasible, so the pass
         alone reaches feasibility from any basis.
         """
-        form = _objective_form(obj)
         m = len(self.basis)
         stall_limit = self._stall_limit()
         stall = 0
@@ -421,7 +399,7 @@ class Tableau:
             cols = [j for j, a in enumerate(prow, 1) if a < 0]
             if not cols:
                 return False
-            gamma = self._priced(form, cols)[2]
+            gamma = self._priced(obj, cols)[2]
             entering = cols[0]
             best_g, best_a = gamma[entering], -prow[entering - 1]
             for j in cols[1:]:
@@ -478,7 +456,7 @@ def solve_lfp(
     slack basis; primal pivots then minimize.
     """
     tab = Tableau(system)
-    if not tab._dual(linear_objective(()), observer, tag="phase1"):
+    if not tab._dual(ZERO_OBJECTIVE, observer, tag="phase1"):
         return Infeasible()
     return _finish(tab, tab._primal(objective, observer))
 
@@ -493,7 +471,7 @@ def minimize_each(
     optimum is checked as solve_lfp checks its own.
     """
     tab = Tableau(system)
-    if not tab._dual(linear_objective(()), tag="phase1"):
+    if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
         return Infeasible()
     return [_finish(tab, tab._primal(obj)).value for obj in objectives]
 

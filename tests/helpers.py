@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from effcut import FractionalObjective, Instance, Polyhedron, QuadraticObjective
-from effcut.simplex import _integers
+from effcut.instance import _integers
 
 F = Fraction
 
@@ -203,3 +203,24 @@ def reduced_gradient(tab, grad):
     den = scale * tab.d
     reduced = tab._reduced(cost, 0, tab.nonbasis())[1]
     return {j: F(v, den) for j, v in reduced.items()}
+
+
+def is_psd_reference(Q):
+    """Positive semidefiniteness by the pivoted elimination in Fractions:
+    eliminate on a positive diagonal pivot until the matrix is consumed
+    (PSD) or no positive pivot remains (PSD iff the rest is all zero)."""
+    m = [[F(v) for v in row] for row in Q]
+    active = list(range(len(m)))
+    while active:
+        piv = next((i for i in active if m[i][i] > 0), None)
+        if piv is None:
+            return all(m[i][j] == 0 for i in active for j in active)
+        d = m[piv][piv]
+        rest = [i for i in active if i != piv]
+        for i in rest:
+            f = m[i][piv] / d
+            if f:
+                for j in rest:
+                    m[i][j] -= f * m[piv][j]
+        active = rest
+    return True

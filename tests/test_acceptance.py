@@ -308,7 +308,7 @@ def test_criterion_8_simplex_optimality_property(
                 failures.append("case %d node %d did not re-solve" % (i, node.id))
                 continue
             optima += 1
-            gamma = out.tableau.gamma(inst.fractionals[0])
+            gamma = out.tableau.price(inst.fractionals[0])[2]
             bad = {j: g for j, g in gamma.items() if g < 0}
             if bad:
                 failures.append(

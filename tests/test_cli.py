@@ -116,6 +116,15 @@ def test_enum_cap_exhaustion_exit(demo_path, capsys):
     assert "bounding box" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["oracle", "check"])
+def test_enum_cap_exhaustion_exit_in_other_modes(demo_path, capsys, mode):
+    args = ["--instance", demo_path, "--mode", mode, "--enum-cap", "5"]
+    assert main(args) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert "bounding box" in captured.err
+    assert captured.out == ""
+
+
 def test_check_mismatch_exit(demo_path, capsys, monkeypatch):
     doctored = SolveResult(
         x_eff=((9, 9, 9),),

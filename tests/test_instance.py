@@ -15,7 +15,7 @@ from effcut import (
     render_instance,
     validate_instance,
 )
-from helpers import random_instance
+from helpers import is_psd_reference, random_instance, solve_exact
 
 F = Fraction
 
@@ -259,6 +259,38 @@ def test_instance_invariants(demo_instance):
 def test_is_psd(Q, expected):
     obj = QuadraticObjective(Q, tuple(0 for _ in Q))
     assert obj.is_psd() is expected
+    assert is_psd_reference(Q) is expected
+
+
+def random_symmetric(rng, n):
+    """A symmetric integer matrix of one of three kinds: M'M with M of
+    rank at most n (PSD, singular when the rank falls short), that Gram
+    matrix minus a rank-one term (often indefinite), or random entries."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        return tuple(
+            tuple(rows[min(i, j)][max(i, j)] for j in range(n)) for i in range(n)
+        )
+    M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    u = [rng.randint(-2, 2) for _ in range(n)] if kind else [0] * n
+    return tuple(
+        tuple(sum(r[i] * r[j] for r in M) - u[i] * u[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_integer_is_psd_agrees_with_the_fraction_elimination():
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        Q = random_symmetric(rng, n)
+        expected = is_psd_reference(Q)
+        assert QuadraticObjective(Q, (0,) * n).is_psd() is expected, Q
+        verdicts.append((expected, solve_exact(Q, (0,) * n) is None))
+    # PSD and indefinite matrices, each both singular and not.
+    assert {(True, True), (False, True), (True, False), (False, False)} <= set(verdicts)
 
 
 def test_is_psd_gram_matrices():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -214,7 +215,7 @@ def test_constant_objective_prices_to_zero():
     obj = FractionalObjective((F(2), F(4)), (F(1), F(2)), F(6), F(3))
     out = solve_lfp(box(2, 2), obj)
     assert out.value == 2
-    assert all(g == 0 for g in out.tableau.gamma(obj).values())
+    assert all(g == 0 for g in out.tableau.price(obj)[2].values())
 
 
 def test_degenerate_vertex_terminates():
@@ -239,7 +240,7 @@ def test_demo_root_optimum(demo_instance):
     P, Q, gamma1 = tab.price(obj)
     assert (P, Q) == (-19, 3)
     assert gamma1 == {1: 16, 3: 34, 5: 6}
-    gamma2 = tab.gamma(demo_instance.fractionals[1])
+    gamma2 = tab.price(demo_instance.fractionals[1])[2]
     assert gamma2 == {1: -9, 3: -22, 5: -2}
 
 
@@ -267,8 +268,8 @@ def test_demo_warm_restart_after_cut_rows(demo_instance):
     assert out.value == F(-17, 3)
     tab = out.tableau
     assert tab.basis == [4, 2, 6, 5]
-    assert tab.gamma(obj) == {1: 8, 3: 26, 7: 6}
-    assert tab.gamma(demo_instance.fractionals[1]) == {1: F(-11, 2), 3: -18, 7: -2}
+    assert tab.price(obj)[2] == {1: 8, 3: 26, 7: 6}
+    assert tab.price(demo_instance.fractionals[1])[2] == {1: F(-11, 2), 3: -18, 7: -2}
     # the original tableau is untouched
     assert root.tableau.system.registry_size == 5
 
@@ -306,13 +307,13 @@ def test_warm_restart_matches_fresh_solve(demo_instance):
 def test_optimum_carries_the_gamma_of_its_basis(demo_instance):
     obj = demo_instance.fractionals[0]
     for out in warm_and_fresh(demo_instance, DEMO_PATH_ROWS):
-        assert out.gamma == out.tableau.gamma(obj)
+        assert out.gamma == out.tableau.price(obj)[2]
     rng = random.Random(37)
     for _ in range(20):
         inst = random_instance(rng)
         for obj in inst.fractionals:
             out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
-            assert out.gamma == out.tableau.gamma(obj)
+            assert out.gamma == out.tableau.price(obj)[2]
 
 
 # -- certificates and invariants ---------------------------------------------
@@ -326,7 +327,7 @@ def test_optimum_certificate_on_random_instances():
             out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
             assert isinstance(out, Optimal)
             tab = out.tableau
-            assert all(g >= 0 for g in tab.gamma(obj).values())
+            assert all(g >= 0 for g in tab.price(obj)[2].values())
             assert all(v >= 0 for v in tab.rhs)
             assert tab.system.satisfied_by(out.point)
             assert obj.value(out.point) == out.value
@@ -417,6 +418,40 @@ def test_rational_data_on_the_integer_tableau():
             assert_tableau_is_basis_inverse(warm.tableau)
     assert any(outcomes) and not all(outcomes)
     assert {"phase1", "dual", "primal"} <= set(tags)
+
+
+def reference_pricing(tab, obj):
+    """(P, Q, gamma) at the tableau's vertex in Fractions, with gamma_j =
+    Q(x*) reduced(p)_j - P(x*) reduced(q)_j."""
+    x = tab.original_point()
+    P, Q = obj.numerator(x), obj.denominator(x)
+    eta, theta = reduced_gradient(tab, obj.p), reduced_gradient(tab, obj.q)
+    return P, Q, {j: Q * eta[j] - P * theta[j] for j in eta}
+
+
+def test_pricing_over_one_scale_matches_the_fraction_reference():
+    # The tableau prices numerator and denominator over their joint lcm;
+    # here many preferences clear p and q with different lcms.
+    rng = random.Random(RATIONAL_SEED)
+    optima, split = 0, 0
+    for _ in range(30):
+        poly, obj = rational_case(rng)
+        out = solve_lfp(System.from_polyhedron(poly), obj)
+        if isinstance(out, Infeasible):
+            continue
+        split += lcm(*(v.denominator for v in (*obj.p, obj.alpha))) != lcm(
+            *(v.denominator for v in (*obj.q, obj.beta))
+        )
+        a, c = rational_row(rng, poly.n)
+        row = Row.make({j + 1: v for j, v in enumerate(a)}, ">=", c)
+        warm = add_rows_and_reoptimize(out.tableau.clone(), [row], obj)
+        for res in (out, warm):
+            if isinstance(res, Optimal):
+                P, Q, gamma = reference_pricing(res.tableau, obj)
+                assert res.value == P / Q and res.gamma == gamma
+                assert res.tableau.price(obj) == (P, Q, gamma)
+                optima += 1
+    assert split >= 10 and optima >= 20
 
 
 def test_reduced_gradient_of_slackless_function(demo_instance):
