@@ -12,13 +12,12 @@ either set is empty no efficient point beyond x* remains in the node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .instance import Instance
 from .simplex import Row, Tableau
 
-FBar = tuple[dict[int, Fraction], ...]
+FBar = tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,9 @@ class CutReport:
 
     cut_moiqp covers H (the quadratic criteria side), cut_boilfp covers
     H_prime (the fractional preference side); each is absent exactly when
-    its set is empty, which is the fathoming signal.
+    its set is empty, which is the fathoming signal.  f_bar holds the
+    reduced entries as integer numerators over d^2, d the tableau's
+    denominator.
     """
 
     H: tuple[int, ...]
@@ -38,7 +39,9 @@ class CutReport:
 
 
 def build_H(f_bar: FBar) -> tuple[int, ...]:
-    """Columns decreasing some criterion, plus columns flat in all of them."""
+    """Columns decreasing some criterion, plus columns flat in all of them.
+
+    Only signs and zeros count, so the rows may carry any positive scale."""
     out = []
     for j in sorted(f_bar[0]):
         column = [row[j] for row in f_bar]
@@ -48,7 +51,7 @@ def build_H(f_bar: FBar) -> tuple[int, ...]:
 
 
 def build_H_prime(
-    gamma1: Mapping[int, Fraction | int], gamma2: Mapping[int, Fraction | int]
+    gamma1: Mapping[int, int], gamma2: Mapping[int, int]
 ) -> tuple[int, ...]:
     """Columns improving the second preference, plus columns flat in both.
 
@@ -69,32 +72,25 @@ def make_cut(indices: Sequence[int]) -> Row:
 
 
 def build_cut_report(
-    inst: Instance, tableau: Tableau, gamma1: Mapping[int, Fraction] | None = None
+    inst: Instance, tableau: Tableau, gamma1: Mapping[int, int] | None = None
 ) -> CutReport:
     """Assemble H, H' and both cut rows at the tableau's current vertex.
 
-    The vertex is x* = X/d with X read off the integer rhs, so each
-    criterion gradient Qx* + c is (QX + cd)/d: one integer matrix-vector
-    product, reduced on the tableau to f_bar entries over d^2.  gamma1,
-    when given, must be the first preference's gamma at that vertex (an
-    Optimal carries it); it is priced here otherwise, like gamma2, as the
-    integer numerators G of Tableau._priced, which is all H' needs.
+    The vertex is x* = X/d with X the tableau's integer numerators, so
+    each criterion gradient Qx* + c is (QX + cd)/d: one integer
+    matrix-vector product, reduced on the tableau to f_bar numerators over
+    d^2.  gamma1, when given, must be the first preference's gamma at that
+    vertex (an Optimal carries it); it is priced here otherwise, like
+    gamma2, as the integer numerators G of Tableau._priced, which is all
+    H' needs.
     """
-    n, d = inst.n, tableau.d
-    X = [0] * n
-    for i, b in enumerate(tableau.basis):
-        if b <= n:
-            X[b - 1] = tableau.rhs[i]
+    d, X = tableau.d, tableau.original_numerators()
     cols = tableau.nonbasis()
-    den = d * d
     grads = (
         [sum(q * v for q, v in zip(Qi, X)) + c * d for Qi, c in zip(obj.Q, obj.c)]
         for obj in inst.quadratics
     )
-    f_bar = tuple(
-        {j: Fraction(v, den) for j, v in tableau._reduced(grad, 0, cols)[1].items()}
-        for grad in grads
-    )
+    f_bar = tuple(tableau._reduced(grad, 0, cols)[1] for grad in grads)
     if gamma1 is None:
         gamma1 = tableau._priced(inst.fractionals[0], cols)[2]
     gamma2 = tableau._priced(inst.fractionals[1], cols)[2]

@@ -28,6 +28,14 @@ def _integers(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
+def _integral(value) -> int:
+    """An integer value as an int; ValueError on any other value."""
+    f = Fraction(value)
+    if f.denominator != 1:
+        raise ValueError("non-integral value %s" % f)
+    return f.numerator
+
+
 class InstanceFormatError(ValueError):
     """Malformed instance text. Carries the offending line number."""
 
@@ -157,6 +165,8 @@ class Polyhedron:
         widths = {len(row) for row in self.A}
         if len(widths) > 1:
             raise ValueError("A rows have unequal length")
+        for v in (*self.b, *(v for row in self.A for v in row)):
+            _integral(v)
 
     @property
     def m(self) -> int:

@@ -68,8 +68,8 @@ def _event(node, parent, action, point=None, value=None, H=None, H_prime=None):
         "node": node,
         "parent": parent,
         "action": action,
-        "point": None if point is None else [str(Fraction(v)) for v in point],
-        "value": None if value is None else str(Fraction(value)),
+        "point": None if point is None else [str(v) for v in point],
+        "value": None if value is None else str(value),
         "H": None if H is None else list(H),
         "H_prime": None if H_prime is None else list(H_prime),
     }

@@ -10,19 +10,21 @@ where eta/theta are the classic reduced costs of numerator and denominator;
 gamma >= 0 over all nonbasic columns certifies a minimum.  Constraint rows
 live in a registry: original variables get ids 1..n, each row contributes a
 slack with the next free id, and rows added later may reference earlier
-slacks.  The tableau holds Python ints over one positive common
-denominator and pivots fraction-free (Bareiss); rows, objectives and
-every value handed out are fractions.Fraction.  No floats anywhere.
+slacks.  Rows are integer, so every registry variable, each slack
+included, is an integer at every integer point: the efficiency cuts rest
+on it.  The tableau holds Python ints over one positive common
+denominator and pivots fraction-free (Bareiss); its optimality
+certificates leave it as integer numerators, and only the vertex and its
+value are fractions.Fraction.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .instance import FractionalObjective, Polyhedron, _integers
+from .instance import FractionalObjective, Polyhedron, _integral, _integers
 
 # Pivot-count guards. The stall limit flips tie-breaking to Bland's rule
 # inside a run of degenerate pivots; the hard cap aborts the loop outright.
@@ -52,37 +54,32 @@ ZERO_OBJECTIVE = linear_objective(())
 
 @dataclass(frozen=True)
 class Row:
-    """One inequality sum_j coeff_j * x_j  <sense>  rhs over registry ids."""
+    """One inequality sum_j coeff_j * x_j  <sense>  rhs over registry ids,
+    with integer coefficients and rhs."""
 
-    coeffs: tuple[tuple[int, Fraction], ...]
+    coeffs: tuple[tuple[int, int], ...]
     sense: str
-    rhs: Fraction
+    rhs: int
 
     @staticmethod
     def make(coeffs: Mapping[int, object] | Iterable, sense: str, rhs) -> "Row":
+        """The row with its data as ints; ValueError on a non-integral value."""
         if sense not in ("<=", ">="):
             raise ValueError("sense must be '<=' or '>='")
         items = []
         for j, v in dict(coeffs).items():
-            f = Fraction(v)
             if j < 1:
                 raise ValueError("variable ids are 1-based")
-            if f:
-                items.append((int(j), f))
-        return Row(tuple(sorted(items)), sense, Fraction(rhs))
+            v = _integral(v)
+            if v:
+                items.append((int(j), v))
+        return Row(tuple(sorted(items)), sense, _integral(rhs))
 
     def normalized(self) -> "Row":
         """The same inequality in '<=' form."""
         if self.sense == "<=":
             return self
         return Row(tuple((j, -v) for j, v in self.coeffs), "<=", -self.rhs)
-
-    @cached_property
-    def integers(self) -> tuple[tuple[int, ...], int]:
-        """Coefficients, then rhs, as integer numerators over their least
-        common denominator L, and L: the row times L is an integer row."""
-        nums, scale = _integers([v for _, v in self.coeffs] + [self.rhs])
-        return tuple(nums), scale
 
 
 @dataclass
@@ -128,11 +125,8 @@ class System:
         """Whether the rational point x and every slack it leaves are
         nonnegative.
 
-        Runs in ints: the registry values are numerators over one positive
-        denominator, at first the least common one of x.  A row whose
-        integer form is over L puts its slack over L times that
-        denominator, so the values before it are rescaled by L, as
-        Tableau.append_row rescales the tableau.
+        Runs in ints: the registry values are numerators over the least
+        common denominator of x, and integer rows keep every slack over it.
         """
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
@@ -140,15 +134,11 @@ class System:
         if any(v < 0 for v in vals):
             return False
         for row in self.rows:
-            nums, scale = row.integers
-            slack = nums[-1] * den
-            for (j, _), a in zip(row.coeffs, nums):
+            slack = row.rhs * den
+            for j, a in row.coeffs:
                 slack -= a * vals[j - 1]
             if slack < 0:
                 return False
-            if scale != 1:
-                vals = [v * scale for v in vals]
-                den *= scale
             vals.append(slack)
         return True
 
@@ -158,8 +148,8 @@ class Tableau:
 
     body and rhs hold Python ints over one positive common denominator d:
     entry k of row i is body[i][k] / d and its value is rhs[i] / d.  d is
-    the absolute basis determinant of the integer system behind the rows,
-    so every entry is a minor of that system and the one-step update of
+    the absolute basis determinant of the system's integer rows, so every
+    entry is a minor of that system and the one-step update of
     Bareiss divides exactly.  basis[i] is the variable id owning row i;
     basic columns read d in their own row and zero elsewhere.  Every row,
     the initial ones included, enters through append_row, and the tableau
@@ -194,14 +184,19 @@ class Tableau:
         twin.d = self.d
         return twin
 
-    def original_point(self) -> tuple[Fraction, ...]:
-        """Current vertex over the original variables."""
+    def original_numerators(self) -> list[int]:
+        """Current vertex over the original variables, as numerators over d."""
         n = self.system.n
-        vals = [Fraction(0)] * n
+        X = [0] * n
         for i, j in enumerate(self.basis):
             if j <= n:
-                vals[j - 1] = Fraction(self.rhs[i], self.d)
-        return tuple(vals)
+                X[j - 1] = self.rhs[i]
+        return X
+
+    def original_point(self) -> tuple[Fraction, ...]:
+        """Current vertex over the original variables."""
+        d = self.d
+        return tuple(Fraction(v, d) for v in self.original_numerators())
 
     def append_row(self, row: Row) -> int:
         """Add one constraint below an existing basis; returns the slack id.
@@ -209,23 +204,16 @@ class Tableau:
         The row sum_j a_j x_j + s = rhs is the reduced row of the linear form
         a'x - rhs with the slack s as its basic variable: basic columns read
         zero, and the new rhs is minus the form's vertex value, possibly
-        negative.  A row over the common denominator L is first scaled by L;
-        the whole tableau and d are scaled by L with it, which makes it the
-        tableau of the integer system whose new slack has coefficient L.
+        negative.
         """
         slack = self.system.add_row(row)
         stored = self.system.rows[-1]
-        nums, scale = stored.integers
         cost = [0] * (slack - 1)
-        for (j, _), v in zip(stored.coeffs, nums):
+        for j, v in stored.coeffs:
             cost[j - 1] = v
         for r in self.body:
             r.append(0)
-        value, reduced = self._reduced(cost, -nums[-1], self.nonbasis())
-        if scale != 1:
-            self.body = [[v * scale for v in r] for r in self.body]
-            self.rhs = [v * scale for v in self.rhs]
-            self.d *= scale
+        value, reduced = self._reduced(cost, -stored.rhs, self.nonbasis())
         dense = [reduced.get(j, 0) for j in range(1, slack + 1)]
         dense[slack - 1] = self.d
         self.body.append(dense)
@@ -275,17 +263,6 @@ class Tableau:
         Qn, theta = self._reduced(q, beta, cols)
         return Pn, Qn, {j: Qn * eta[j] - Pn * theta[j] for j in cols}
 
-    def _fractions(self, obj: FractionalObjective, priced):
-        """The integer pricing (Pn, Qn, G) of obj as Fractions (P, Q, gamma)."""
-        Pn, Qn, G = priced
-        s = obj.integers[-1] * self.d
-        den = s * s
-        return Fraction(Pn, s), Fraction(Qn, s), {j: Fraction(g, den) for j, g in G.items()}
-
-    def price(self, obj: FractionalObjective):
-        """(P, Q, gamma) of a fractional objective at the current vertex."""
-        return self._fractions(obj, self._priced(obj, self.nonbasis()))
-
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, row: int, col_id: int) -> None:
@@ -331,7 +308,7 @@ class Tableau:
         self, obj: FractionalObjective, observer: Observer | None = None, tag="primal"
     ):
         """Pivot until gamma >= 0 on all nonbasic columns; returns the final
-        pricing (P, Q, gamma).
+        integer pricing (Pn, Qn, G) of _priced.
 
         Entering is always the least improving id.  Leaving takes the
         minimum ratio, breaking ties toward the largest basic id; after a
@@ -346,7 +323,7 @@ class Tableau:
             priced = self._priced(obj, self.nonbasis())
             entering = min((j for j, g in priced[2].items() if g < 0), default=None)
             if entering is None:
-                return self._fractions(obj, priced)
+                return priced
             col = entering - 1
             bland = stall > stall_limit
             best = None  # (rhs, entry, key, row) of the least ratio so far
@@ -417,14 +394,16 @@ class Tableau:
 class Optimal:
     """A certified vertex minimum of the fractional objective.
 
-    gamma is the objective's fractional reduced cost row at the tableau's
-    basis, all nonnegative.
+    gamma holds the integer numerators G_j of the objective's fractional
+    reduced costs at the tableau's basis over (L d)^2, with L the
+    objective's scale (FractionalObjective.integers) and d the tableau's:
+    all nonnegative, and each with the sign of its reduced cost.
     """
 
     point: tuple[Fraction, ...]
     value: Fraction
     tableau: Tableau
-    gamma: dict[int, Fraction]
+    gamma: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -433,16 +412,17 @@ class Infeasible:
 
 
 def _finish(tab: Tableau, priced) -> Optimal:
-    """Check the final pricing (P, Q, gamma) of a primal run and wrap it."""
+    """Check the final integer pricing (Pn, Qn, G) of a primal run and
+    wrap it; P and Q share one positive scale, so the value is Pn / Qn."""
     x = tab.original_point()
-    P, Q, gamma = priced
-    if Q <= 0:
+    Pn, Qn, G = priced
+    if Qn <= 0:
         raise RuntimeError("nonpositive denominator at optimum")
-    if any(v < 0 for v in tab.rhs) or any(g < 0 for g in gamma.values()):
+    if any(v < 0 for v in tab.rhs) or any(g < 0 for g in G.values()):
         raise RuntimeError("simplex stopped at a non-optimal basis")
     if not tab.system.satisfied_by(x):
         raise RuntimeError("optimal point violates its own system")
-    return Optimal(point=x, value=P / Q, tableau=tab, gamma=gamma)
+    return Optimal(point=x, value=Fraction(Pn, Qn), tableau=tab, gamma=G)
 
 
 def solve_lfp(

@@ -94,33 +94,42 @@ def rational(rng: random.Random, low: int, high: int) -> Fraction:
     return F(rng.randint(low, high), rng.randint(1, 6))
 
 
+def integer_row(a, c) -> tuple[tuple[int, ...], int]:
+    """The rational row a'x <= c times the lcm of its denominators: the
+    same half-space with integer data."""
+    nums, _ = _integers([F(v) for v in (*a, c)])
+    return tuple(nums[:-1]), nums[-1]
+
+
 def rational_case(rng: random.Random) -> tuple[Polyhedron, FractionalObjective]:
     """A box of rational sides with one to three rational rows, half of
-    them a'x >= c with c > 0 (cutting off the origin), and a rational
-    preference; the region may be empty."""
+    them a'x >= c with c > 0 (cutting off the origin), each row cleared
+    to integers by its lcm, and a rational preference; the region may be
+    empty."""
     n = rng.randint(1, 3)
-    A = [tuple(F(int(j == k)) for j in range(n)) for k in range(n)]
-    b = [rational(rng, 1, 12) for _ in range(n)]
+    rows = [
+        integer_row([int(j == k) for j in range(n)], rational(rng, 1, 12))
+        for k in range(n)
+    ]
     for _ in range(rng.randint(1, 3)):
         a = tuple(rational(rng, -6, 6) for _ in range(n))
         if rng.random() < 0.5:
-            A.append(tuple(-v for v in a))
-            b.append(-rational(rng, 1, 8))
+            rows.append(integer_row([-v for v in a], -rational(rng, 1, 8)))
         else:
-            A.append(a)
-            b.append(rational(rng, 0, 10))
+            rows.append(integer_row(a, rational(rng, 0, 10)))
+    A, b = zip(*rows)
     obj = FractionalObjective(
         p=tuple(rational(rng, -10, 10) for _ in range(n)),
         q=tuple(rational(rng, 0, 5) for _ in range(n)),
         alpha=rational(rng, -10, 10),
         beta=rational(rng, 1, 10),
     )
-    return Polyhedron(tuple(A), tuple(b)), obj
+    return Polyhedron(A, b), obj
 
 
-def rational_row(rng: random.Random, n: int) -> tuple[tuple[Fraction, ...], Fraction]:
-    """(a, c) of one more rational row a'x >= c."""
-    return tuple(rational(rng, -6, 6) for _ in range(n)), rational(rng, 0, 8)
+def rational_row(rng: random.Random, n: int) -> tuple[tuple[int, ...], int]:
+    """(a, c) of one more rational row a'x >= c, cleared by its lcm."""
+    return integer_row(tuple(rational(rng, -6, 6) for _ in range(n)), rational(rng, 0, 8))
 
 
 class PivotCounts(dict):
@@ -193,6 +202,22 @@ def tableau_point(tab):
     for i, j in enumerate(tab.basis):
         vals[j - 1] = F(tab.rhs[i], tab.d)
     return tuple(vals)
+
+
+def price(tab, obj):
+    """(P, Q, gamma) of a fractional objective at the tableau's vertex in
+    Fractions: the integer pricing over the scale s = L d (L from
+    obj.integers), with P = Pn / s, Q = Qn / s and gamma_j = G_j / s^2."""
+    Pn, Qn, G = tab._priced(obj, tab.nonbasis())
+    s = obj.integers[-1] * tab.d
+    return F(Pn, s), F(Qn, s), {j: F(g, s * s) for j, g in G.items()}
+
+
+def gamma_numerators(tab, obj, gamma):
+    """gamma times the pricing scale (L d)^2: the integers Optimal.gamma
+    holds."""
+    s = obj.integers[-1] * tab.d
+    return {j: g * s * s for j, g in gamma.items()}
 
 
 def reduced_gradient(tab, grad):

@@ -22,7 +22,7 @@ from effcut import (
 )
 from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut import test_moiqp_efficiency as moiqp_efficiency
-from helpers import extend_point
+from helpers import extend_point, gamma_numerators, price
 
 F = Fraction
 
@@ -308,12 +308,16 @@ def test_criterion_8_simplex_optimality_property(
                 failures.append("case %d node %d did not re-solve" % (i, node.id))
                 continue
             optima += 1
-            gamma = out.tableau.price(inst.fractionals[0])[2]
+            obj = inst.fractionals[0]
+            gamma = price(out.tableau, obj)[2]
             bad = {j: g for j, g in gamma.items() if g < 0}
             if bad:
                 failures.append(
                     "case %d node %d: negative reduced costs %r" % (i, node.id, bad)
                 )
+            # The optimum certifies itself with gamma over (L d)^2.
+            if out.gamma != gamma_numerators(out.tableau, obj, gamma):
+                failures.append("case %d node %d: certificate is not gamma" % (i, node.id))
     label = "first-preference reduced costs nonnegative at all %d optima" % optima
     report(acceptance_report, 8, label, failures)
 

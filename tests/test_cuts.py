@@ -35,6 +35,12 @@ def demo_root_tableau(inst):
     return out.tableau
 
 
+def f_bar_fractions(rep, tab):
+    """The report's f_bar numerators over their scale d^2, as Fractions."""
+    den = tab.d * tab.d
+    return tuple({j: F(v, den) for j, v in row.items()} for row in rep.f_bar)
+
+
 # -- index-set rules ----------------------------------------------------------
 
 
@@ -73,12 +79,16 @@ def test_make_cut():
 
 
 def test_demo_root_cut_report(demo_instance):
-    rep = build_cut_report(demo_instance, demo_root_tableau(demo_instance))
+    tab = demo_root_tableau(demo_instance)
+    rep = build_cut_report(demo_instance, tab)
     assert rep.H == (3, 5)
     assert rep.H_prime == (1, 3, 5)
-    assert rep.f_bar[0] == {1: 61, 3: -55, 5: -26}
-    assert rep.f_bar[1] == {1: F(297, 2), 3: F(-425, 2), 5: F(-153, 2)}
-    assert rep.f_bar[2] == {1: 86, 3: -22, 5: 1}
+    f_bar = f_bar_fractions(rep, tab)
+    assert f_bar[0] == {1: 61, 3: -55, 5: -26}
+    assert f_bar[1] == {1: F(297, 2), 3: F(-425, 2), 5: F(-153, 2)}
+    assert f_bar[2] == {1: 86, 3: -22, 5: 1}
+    # f_bar holds those over d^2, d = 2.
+    assert tab.d == 2 and rep.f_bar[2] == {1: 344, 3: -88, 5: 4}
     assert rep.cut_moiqp == Row.make({3: 1, 5: 1}, ">=", 1)
     assert rep.cut_boilfp == Row.make({1: 1, 3: 1, 5: 1}, ">=", 1)
 
@@ -100,9 +110,10 @@ def test_demo_cut_report_three_nodes_down(demo_instance):
     rep = build_cut_report(demo_instance, out.tableau)
     assert rep.H == (1, 3, 8)
     assert rep.H_prime == (1, 3, 8)
-    assert rep.f_bar[0] == {1: -8, 3: 3, 8: -10}
-    assert rep.f_bar[1] == {1: 50, 3: -1, 8: -132}
-    assert rep.f_bar[2] == {1: 70, 3: -40, 8: 8}
+    f_bar = f_bar_fractions(rep, out.tableau)
+    assert f_bar[0] == {1: -8, 3: 3, 8: -10}
+    assert f_bar[1] == {1: 50, 3: -1, 8: -132}
+    assert f_bar[2] == {1: 70, 3: -40, 8: 8}
     # Equal sets mean the two cut rows coincide.
     assert rep.cut_moiqp == rep.cut_boilfp == Row.make({1: 1, 3: 1, 8: 1}, ">=", 1)
 
@@ -155,7 +166,7 @@ def test_f_bar_equals_gradient_dot_column_direction(demo_instance):
     tab = demo_root_tableau(demo_instance)
     x_star = tab.original_point()
     rep = build_cut_report(demo_instance, tab)
-    for obj, row in zip(demo_instance.quadratics, rep.f_bar):
+    for obj, row in zip(demo_instance.quadratics, f_bar_fractions(rep, tab)):
         grad = obj.gradient(x_star)
         for j in tab.nonbasis():
             d = column_direction(tab, j)
@@ -171,7 +182,7 @@ def test_f_bar_identity_on_random_instances():
         tab = out.tableau
         rep = build_cut_report(inst, tab)
         x_star = tab.original_point()
-        for obj, row in zip(inst.quadratics, rep.f_bar):
+        for obj, row in zip(inst.quadratics, f_bar_fractions(rep, tab)):
             grad = obj.gradient(x_star)
             for j in tab.nonbasis():
                 d = column_direction(tab, j)
@@ -180,11 +191,11 @@ def test_f_bar_identity_on_random_instances():
 
 def test_f_bar_equals_the_reduced_fraction_gradient():
     # Integer instances, whose root vertices are often fractional, then
-    # the rational systems of the integer-tableau test: each row scales
-    # the tableau by its lcm L, so d != 1 and the integer gradient
-    # (QX + cd)/d is reduced over d^2.  Those are checked cold and after
-    # one more rational row warm.
-    cases = []
+    # the rational systems of the integer-tableau test, each row cleared
+    # by its lcm: there d != 1 and the integer gradient (QX + cd)/d is
+    # reduced over d^2.  Those are checked cold and after one more row
+    # warm.
+    cases, scaled = [], 0
     rng = random.Random(31)
     for _ in range(20):
         inst = random_instance(rng)
@@ -199,19 +210,19 @@ def test_f_bar_equals_the_reduced_fraction_gradient():
         quads = quadratics(quad_rng, poly.n)
         inst = Instance(poly.n, len(quads), quads, (obj, obj), poly)
         cases.append((inst, out.tableau.clone()))
+        scaled += out.tableau.d != 1
         a, c = rational_row(rng, poly.n)
         row = Row.make({j + 1: v for j, v in enumerate(a)}, ">=", c)
         warm = add_rows_and_reoptimize(out.tableau, [row], obj)
         if isinstance(warm, Optimal):
             cases.append((inst, warm.tableau))
-    fractional = rescaled = 0
+    fractional = 0
     for inst, tab in cases:
         x_star = tab.original_point()
         want = tuple(reduced_gradient(tab, obj.gradient(x_star)) for obj in inst.quadratics)
-        assert build_cut_report(inst, tab).f_bar == want
+        assert f_bar_fractions(build_cut_report(inst, tab), tab) == want
         fractional += any(v.denominator != 1 for v in x_star)
-        rescaled += tab.d != 1 and any(r.integers[1] != 1 for r in tab.system.rows)
-    assert fractional and rescaled
+    assert fractional and scaled
 
 
 def test_cut_report_from_the_optimum_gamma_equals_a_fresh_pricing():

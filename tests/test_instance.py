@@ -240,6 +240,14 @@ def test_instance_invariants(demo_instance):
         Polyhedron(((1, 0),), (1, 2))
 
 
+def test_polyhedron_rejects_non_integral_data():
+    with pytest.raises(ValueError):
+        Polyhedron(((1, F(1, 2)),), (1,))
+    with pytest.raises(ValueError):
+        Polyhedron(((1, 0),), (F(1, 2),))
+    assert Polyhedron(((F(2), 0),), (F(4),)).contains((2, 0))
+
+
 # -- positive semidefiniteness ------------------------------------------------
 
 

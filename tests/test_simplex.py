@@ -27,6 +27,9 @@ from helpers import (
     RATIONAL_SEED,
     PivotCounts,
     extend_point,
+    gamma_numerators,
+    integer_row,
+    price,
     random_instance,
     rational,
     rational_case,
@@ -62,9 +65,10 @@ def box(*upper):
 
 
 def test_row_make_sorts_and_drops_zeros():
-    row = Row.make({3: 2, 1: 0, 2: -1}, "<=", 4)
-    assert row.coeffs == ((2, F(-1)), (3, F(2)))
+    row = Row.make({3: F(2), 1: 0, 2: -1}, "<=", F(4))
+    assert row.coeffs == ((2, -1), (3, 2))
     assert row.rhs == 4
+    assert all(type(v) is int for _, v in row.coeffs) and type(row.rhs) is int
 
 
 def test_row_make_rejects_bad_input():
@@ -74,10 +78,22 @@ def test_row_make_rejects_bad_input():
         Row.make({0: 1}, "<=", 0)
 
 
+def test_row_make_rejects_a_non_integral_coefficient():
+    # Integer rows keep every slack integer at integer points, which the
+    # efficiency cuts need.
+    with pytest.raises(ValueError):
+        Row.make({1: 1, 2: F(1, 2)}, "<=", 1)
+
+
+def test_row_make_rejects_a_non_integral_rhs():
+    with pytest.raises(ValueError):
+        Row.make({1: 1}, ">=", F(1, 2))
+
+
 def test_row_normalized_negates_ge():
     row = Row.make({1: 2, 2: -3}, ">=", 5).normalized()
     assert row.sense == "<="
-    assert row.coeffs == ((1, F(-2)), (2, F(3)))
+    assert row.coeffs == ((1, -2), (2, 3))
     assert row.rhs == -5
 
 
@@ -109,34 +125,37 @@ def test_extend_point_computes_slacks_in_row_order(demo_instance):
 
 
 def test_satisfied_by_matches_the_fraction_reference():
-    # Rows with rational coefficients in both senses, over registry ids
-    # that include earlier slacks; about a third of them are made tight
-    # at the first point, so some slacks are exactly zero.
+    # Rational rows cleared to integers in both senses, over registry ids
+    # that include earlier slacks, tested at rational points; about a
+    # third of the rows are made tight at the integer point z, so some
+    # slacks are exactly zero.
     rng = random.Random(47)
     seen = {"verdicts": set(), "slack refs": 0, "tight and satisfied": 0}
     for _ in range(200):
         n = rng.randint(1, 3)
         system = System(n)
         x = tuple(rational(rng, 0, 4) for _ in range(n))
+        z = tuple(range(n))
         tight = False
         for _ in range(rng.randint(1, 4)):
             size = system.registry_size
             ids = rng.sample(range(1, size + 1), rng.randint(1, size))
-            coeffs = {j: rational(rng, -4, 4) for j in ids}
+            coeffs = [rational(rng, -4, 4) for _ in ids]
             seen["slack refs"] += max(ids) > n
             if rng.random() < 0.3:
-                ext = extend_point(system, x)
-                rhs = sum(v * ext[j - 1] for j, v in coeffs.items())
+                ext = extend_point(system, z)
+                rhs = sum(v * ext[j - 1] for j, v in zip(ids, coeffs))
                 tight = True
             else:
                 rhs = rational(rng, -6, 10)
-            system.add_row(Row.make(coeffs, rng.choice(("<=", ">=")), rhs))
-        points = [x, tuple(v + rational(rng, -2, 2) for v in x), tuple(range(n))]
+            a, c = integer_row(coeffs, rhs)
+            system.add_row(Row.make(dict(zip(ids, a)), rng.choice(("<=", ">=")), c))
+        points = [x, tuple(v + rational(rng, -2, 2) for v in x), z]
         for y in points:
             want = all(v >= 0 for v in extend_point(system, y))
             assert system.satisfied_by(y) == want
             seen["verdicts"].add(want)
-        seen["tight and satisfied"] += tight and system.satisfied_by(x)
+        seen["tight and satisfied"] += tight and system.satisfied_by(z)
         with pytest.raises(ValueError):
             system.satisfied_by(x + (F(0),))
         with pytest.raises(ValueError):
@@ -215,7 +234,8 @@ def test_constant_objective_prices_to_zero():
     obj = FractionalObjective((F(2), F(4)), (F(1), F(2)), F(6), F(3))
     out = solve_lfp(box(2, 2), obj)
     assert out.value == 2
-    assert all(g == 0 for g in out.tableau.price(obj)[2].values())
+    assert all(g == 0 for g in out.gamma.values())
+    assert all(g == 0 for g in price(out.tableau, obj)[2].values())
 
 
 def test_degenerate_vertex_terminates():
@@ -237,10 +257,13 @@ def test_demo_root_optimum(demo_instance):
     tab = out.tableau
     assert sorted(tab.basis) == [2, 4]
     assert tab.nonbasis() == [1, 3, 5]
-    P, Q, gamma1 = tab.price(obj)
+    P, Q, gamma1 = price(tab, obj)
     assert (P, Q) == (-19, 3)
     assert gamma1 == {1: 16, 3: 34, 5: 6}
-    gamma2 = tab.price(demo_instance.fractionals[1])[2]
+    # Optimal.gamma is gamma over the pricing scale (L d)^2, here (1 * 2)^2.
+    assert (obj.integers[-1], tab.d) == (1, 2)
+    assert out.gamma == {1: 64, 3: 136, 5: 24}
+    gamma2 = price(tab, demo_instance.fractionals[1])[2]
     assert gamma2 == {1: -9, 3: -22, 5: -2}
 
 
@@ -268,8 +291,8 @@ def test_demo_warm_restart_after_cut_rows(demo_instance):
     assert out.value == F(-17, 3)
     tab = out.tableau
     assert tab.basis == [4, 2, 6, 5]
-    assert tab.price(obj)[2] == {1: 8, 3: 26, 7: 6}
-    assert tab.price(demo_instance.fractionals[1])[2] == {1: F(-11, 2), 3: -18, 7: -2}
+    assert price(tab, obj)[2] == {1: 8, 3: 26, 7: 6}
+    assert price(tab, demo_instance.fractionals[1])[2] == {1: F(-11, 2), 3: -18, 7: -2}
     # the original tableau is untouched
     assert root.tableau.system.registry_size == 5
 
@@ -304,16 +327,22 @@ def test_warm_restart_matches_fresh_solve(demo_instance):
     assert warm.point == fresh.point == (0, 2, 0)
 
 
+def assert_gamma_of_its_basis(out, obj):
+    tab = out.tableau
+    assert out.gamma == gamma_numerators(tab, obj, price(tab, obj)[2])
+    assert all(type(g) is int for g in out.gamma.values())
+
+
 def test_optimum_carries_the_gamma_of_its_basis(demo_instance):
     obj = demo_instance.fractionals[0]
     for out in warm_and_fresh(demo_instance, DEMO_PATH_ROWS):
-        assert out.gamma == out.tableau.price(obj)[2]
+        assert_gamma_of_its_basis(out, obj)
     rng = random.Random(37)
     for _ in range(20):
         inst = random_instance(rng)
         for obj in inst.fractionals:
             out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
-            assert out.gamma == out.tableau.price(obj)[2]
+            assert_gamma_of_its_basis(out, obj)
 
 
 # -- certificates and invariants ---------------------------------------------
@@ -327,7 +356,7 @@ def test_optimum_certificate_on_random_instances():
             out = solve_lfp(System.from_polyhedron(inst.polyhedron), obj)
             assert isinstance(out, Optimal)
             tab = out.tableau
-            assert all(g >= 0 for g in tab.price(obj)[2].values())
+            assert all(g >= 0 for g in price(tab, obj)[2].values())
             assert all(v >= 0 for v in tab.rhs)
             assert tab.system.satisfied_by(out.point)
             assert obj.value(out.point) == out.value
@@ -382,13 +411,15 @@ def assert_tableau_is_basis_inverse(tab):
 
 
 def test_rational_data_on_the_integer_tableau():
-    # No bench or corpus instance has a denominator in its rows or its
-    # preferences; here every row scales the tableau by its lcm.
+    # No bench or corpus instance has a denominator in its preferences or
+    # a row coefficient other than 0 and +-1; here the preferences are
+    # rational and each rational row is cleared by its lcm, so d != 1.
     rng = random.Random(RATIONAL_SEED)
-    tags = []
+    tags, scaled = [], []
 
     def observer(tag, tab):
         tags.append(tag)
+        scaled.append(tab.d != 1)
         assert_tableau_is_basis_inverse(tab)
 
     outcomes = []
@@ -418,6 +449,7 @@ def test_rational_data_on_the_integer_tableau():
             assert_tableau_is_basis_inverse(warm.tableau)
     assert any(outcomes) and not all(outcomes)
     assert {"phase1", "dual", "primal"} <= set(tags)
+    assert any(scaled)
 
 
 def reference_pricing(tab, obj):
@@ -448,8 +480,9 @@ def test_pricing_over_one_scale_matches_the_fraction_reference():
         for res in (out, warm):
             if isinstance(res, Optimal):
                 P, Q, gamma = reference_pricing(res.tableau, obj)
-                assert res.value == P / Q and res.gamma == gamma
-                assert res.tableau.price(obj) == (P, Q, gamma)
+                assert res.value == P / Q
+                assert res.gamma == gamma_numerators(res.tableau, obj, gamma)
+                assert price(res.tableau, obj) == (P, Q, gamma)
                 optima += 1
     assert split >= 10 and optima >= 20
 
