@@ -23,15 +23,20 @@ slacks in closed form, and the scans run on integers only:
       (n_1 D_2 + n_2 D_1) / (D_1 D_2) over the y with n_1, n_2 >= 0.
 
 A PointTable holds D once per solve and fills each test's integer columns
-on the first call that needs them.  Witnesses are the first maximizer in
-the order of D; the maximum comes back as an exact Fraction.
+on the first call that needs them.  Along a run y, y + e_n, ... of
+consecutive points (the order of D makes them runs of the last
+coordinate) the columns step by exact differences: F_i grows by
+2 (Q_i y)_n + Q_i,nn + 2 c_i,n, that step by 2 Q_i,nn, and P_s and Q_s
+by their last coefficients.  Each other point is evaluated in full.
+Witnesses are the first maximizer in the order of D; the maximum comes
+back as an exact Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, mul
+from operator import add, le, mul
 from typing import Sequence
 
 from .instance import Instance
@@ -58,6 +63,28 @@ class EfficiencyVerdict:
 def _linear_forms(coeff_rows, consts, y):
     """The integers a'y + a0 for each integer row a and constant a0."""
     return tuple(sum(map(mul, a, y)) + a0 for a, a0 in zip(coeff_rows, consts))
+
+
+def _stepped_rows(points, start, second):
+    """Integer rows of columns at most quadratic in the last coordinate.
+
+    start(y) gives the columns at y and their first differences toward
+    y + e_n; second holds the constant second differences.  Along a run
+    y, y + e_n, ... of consecutive points each column steps by its
+    difference and each difference by its second difference, exactly;
+    every other point starts a run with start.
+    """
+    rows = []
+    prev = None
+    for y in points:
+        if prev is not None and y[-1] == prev[-1] + 1 and y[:-1] == prev[:-1]:
+            vals = tuple(map(add, vals, diffs))
+            diffs = tuple(map(add, diffs, second))
+        else:
+            vals, diffs = start(y)
+        rows.append(vals)
+        prev = y
+    return rows
 
 
 class PointTable:
@@ -94,12 +121,22 @@ class PointTable:
         """(rows, sums, order) with rows[k] = (2 f_1, ..., 2 f_r)(y_k), sums[k]
         its sum, and order the positions sorted by sum, ties by position."""
         if self._t1 is None:
-            # 2 f(y) = y'(Qy + 2c), and Qy + 2c is an integer vector.
-            forms = [(obj.Q, [2 * ci for ci in obj.c]) for obj in self.inst.quadratics]
-            rows = [
-                tuple(sum(map(mul, _linear_forms(Q, c2, y), y)) for Q, c2 in forms)
-                for y in self.points
+            # F(y) = 2 f(y) = y'g with the integer vector g = Qy + 2c, and
+            # F(y + e_n) - F(y) = 2 g_n + Q_nn - 2 c_n, which grows by 2 Q_nn.
+            forms = [
+                (obj.Q, [2 * ci for ci in obj.c], obj.Q[-1][-1] - 2 * obj.c[-1])
+                for obj in self.inst.quadratics
             ]
+
+            def start(y):
+                gs = [_linear_forms(Q, c2, y) for Q, c2, _ in forms]
+                return (
+                    tuple(sum(map(mul, g, y)) for g in gs),
+                    tuple(2 * g[-1] + k for g, (_, _, k) in zip(gs, forms)),
+                )
+
+            second = tuple(2 * Q[-1][-1] for Q, _, _ in forms)
+            rows = _stepped_rows(self.points, start, second)
             sums = [sum(row) for row in rows]
             order = sorted(range(len(rows)), key=sums.__getitem__)
             self._t1 = (rows, sums, order)
@@ -115,7 +152,13 @@ class PointTable:
                 scales.append(L)
                 forms += (p, q)
                 consts += (alpha, beta)
-            rows = [_linear_forms(forms, consts, y) for y in self.points]
+            # Each form steps by its last coefficient along a run.
+            last = tuple(a[-1] for a in forms)
+            rows = _stepped_rows(
+                self.points,
+                lambda y: (_linear_forms(forms, consts, y), last),
+                (0,) * len(last),
+            )
             if any(row[1] <= 0 or row[3] <= 0 for row in rows):
                 raise ValueError("a preference denominator is not positive on D")
             self._t2 = (tuple(scales), rows)

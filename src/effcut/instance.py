@@ -30,6 +30,8 @@ def _integers(values: Sequence) -> tuple[list[int], int]:
 
 def _integral(value) -> int:
     """An integer value as an int; ValueError on any other value."""
+    if type(value) is int:
+        return value
     f = Fraction(value)
     if f.denominator != 1:
         raise ValueError("non-integral value %s" % f)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Callable, Sequence
 
-from .instance import Instance
+from .instance import Instance, _integral
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -35,7 +36,15 @@ def coordinate_bounds(inst: Instance) -> tuple[int, ...]:
 
 
 def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list[IntPoint]:
-    """All integer points of {x >= 0 : Ax <= b}, in lexicographic order."""
+    """All integer points of {x >= 0 : Ax <= b}, in lexicographic order.
+
+    The box of coordinate_bounds holds them all, and enum_cap caps its
+    volume.  For each prefix of the first n - 1 coordinates in the box,
+    row i leaves a_in v <= s_i = b_i - a_i'prefix on the last coordinate
+    v; together with 0 <= v <= u_n the rows cut v to one integer interval
+    [lo, hi], floors and ceilings taken in ints, and each v in it closes a
+    point of D.
+    """
     bounds = coordinate_bounds(inst)
     if any(u < 0 for u in bounds):
         return []
@@ -47,7 +56,24 @@ def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list
                 "bounding box holds more than %d points" % enum_cap
             )
     poly = inst.polyhedron
-    return [x for x in product(*(range(u + 1) for u in bounds)) if poly.contains(x)]
+    rows = [
+        ([_integral(v) for v in a[:-1]], _integral(a[-1]), _integral(b))
+        for a, b in zip(poly.A, poly.b)
+    ]
+    points = []
+    for prefix in product(*(range(u + 1) for u in bounds[:-1])):
+        lo, hi = 0, bounds[-1]
+        for head, a, b in rows:
+            s = b - sum(map(mul, head, prefix))
+            if a > 0:
+                hi = min(hi, s // a)
+            elif a < 0:
+                lo = max(lo, -(s // -a))
+            elif s < 0:
+                hi = -1
+                break
+        points.extend(prefix + (v,) for v in range(lo, hi + 1))
+    return points
 
 
 def pareto_filter(

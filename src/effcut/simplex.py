@@ -121,16 +121,20 @@ class System:
     def copy(self) -> "System":
         return System(self.n, list(self.rows))
 
-    def satisfied_by(self, x: Sequence) -> bool:
-        """Whether the rational point x and every slack it leaves are
-        nonnegative.
+    def satisfied_by(self, x: Sequence, den: int | None = None) -> bool:
+        """Whether a point and every slack it leaves are nonnegative.
 
-        Runs in ints: the registry values are numerators over the least
-        common denominator of x, and integer rows keep every slack over it.
+        x is the rational point itself, or with den the integer numerators
+        of the point over the positive den.  Runs in ints: the registry
+        values are numerators over one denominator (the least common one
+        of a rational x), and integer rows keep every slack over it.
         """
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
-        vals, den = _integers(x)
+        if den is None:
+            vals, den = _integers(x)
+        else:
+            vals = list(x)
         if any(v < 0 for v in vals):
             return False
         for row in self.rows:
@@ -413,16 +417,18 @@ class Infeasible:
 
 def _finish(tab: Tableau, priced) -> Optimal:
     """Check the final integer pricing (Pn, Qn, G) of a primal run and
-    wrap it; P and Q share one positive scale, so the value is Pn / Qn."""
-    x = tab.original_point()
+    wrap it; P and Q share one positive scale, so the value is Pn / Qn.
+    The vertex is checked against the system as numerators over d."""
     Pn, Qn, G = priced
     if Qn <= 0:
         raise RuntimeError("nonpositive denominator at optimum")
     if any(v < 0 for v in tab.rhs) or any(g < 0 for g in G.values()):
         raise RuntimeError("simplex stopped at a non-optimal basis")
-    if not tab.system.satisfied_by(x):
+    if not tab.system.satisfied_by(tab.original_numerators(), tab.d):
         raise RuntimeError("optimal point violates its own system")
-    return Optimal(point=x, value=Fraction(Pn, Qn), tableau=tab, gamma=G)
+    return Optimal(
+        point=tab.original_point(), value=Fraction(Pn, Qn), tableau=tab, gamma=G
+    )
 
 
 def solve_lfp(

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from effcut import FractionalObjective, Instance, Polyhedron, QuadraticObjective
+from effcut import (
+    FractionalObjective,
+    Instance,
+    Polyhedron,
+    QuadraticObjective,
+    coordinate_bounds,
+)
 from effcut.instance import _integers
 
 F = Fraction
@@ -84,6 +90,14 @@ def binary_instance(rng: random.Random) -> Instance:
         rows.append(a)
         rhs.append(rng.randint((top + 1) // 2, top))
     return _instance(n, quads, _fractionals(rng, n), rows, rhs)
+
+
+def box_scan(inst: Instance) -> list[tuple[int, ...]]:
+    """D by brute force: every point of the coordinate_bounds box that
+    Polyhedron.contains, in lexicographic order."""
+    poly = inst.polyhedron
+    box = product(*(range(u + 1) for u in coordinate_bounds(inst)))
+    return [x for x in box if poly.contains(x)]
 
 
 # Seed of the rational systems that test_simplex and test_cuts share.

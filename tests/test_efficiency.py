@@ -1,6 +1,7 @@
 """Enumeration-backed efficiency tests for integer candidates."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -75,18 +76,24 @@ def assert_matches_reference(inst):
 
 
 def assert_columns_are_cleared_criteria(inst):
-    table = PointTable(inst, enumerate_feasible(inst))
-    rows, sums, order = table.t1_columns()
-    scales, cleared = table.t2_columns()
-    for k, y in enumerate(table.points):
-        assert rows[k] == tuple(2 * obj.value(y) for obj in inst.quadratics)
-        assert sums[k] == sum(rows[k])
-        expected = []
-        for L, frac in zip(scales, inst.fractionals):
-            expected += [L * frac.numerator(y), L * frac.denominator(y)]
-        assert cleared[k] == tuple(expected)
-        assert all(type(v) is int for v in rows[k] + cleared[k])
-    assert sorted(order, key=lambda k: (sums[k], k)) == order
+    """The columns over D, over D shuffled and over every other point of
+    D: the last two break the runs of consecutive points that the tables
+    step along, so most rows restart from a full evaluation."""
+    D = enumerate_feasible(inst)
+    shuffled = random.Random(len(D)).sample(D, len(D))
+    for points in (D, shuffled, D[::2]):
+        table = PointTable(inst, points)
+        rows, sums, order = table.t1_columns()
+        scales, cleared = table.t2_columns()
+        for k, y in enumerate(table.points):
+            assert rows[k] == tuple(2 * obj.value(y) for obj in inst.quadratics)
+            assert sums[k] == sum(rows[k])
+            expected = []
+            for L, frac in zip(scales, inst.fractionals):
+                expected += [L * frac.numerator(y), L * frac.denominator(y)]
+            assert cleared[k] == tuple(expected)
+            assert all(type(v) is int for v in rows[k] + cleared[k])
+        assert sorted(order, key=lambda k: (sums[k], k)) == order
 
 
 def test_verdict_invariants():

@@ -21,7 +21,7 @@ from effcut import (
     pareto_filter,
     solve_lfp,
 )
-from helpers import binary_instance, random_instance
+from helpers import binary_instance, box_scan, random_instance
 
 F = Fraction
 
@@ -96,6 +96,54 @@ def test_warm_coordinate_bounds_equal_cold_maxima(corpus):
     single = region(((1, 0), (-1, 0), (0, 1), (0, -1)), (2, -2, 1, -1))
     assert coordinate_bounds(single) == cold_bounds(single) == (2, 1)
     assert enumerate_feasible(single) == [(2, 1)]
+
+
+def scan_region(rng):
+    """A seeded region for the interval scan: a box of sides 0..4 and one
+    to three rows whose entries, the last column's included, are negative,
+    zero or positive, with rhs of either sign; about a third of all
+    entries are Fractions of denominator 1.  The region may be empty."""
+    n = rng.randint(1, 4)
+
+    def entry(v):
+        return F(v) if rng.random() < 0.3 else v
+
+    A = [[entry(int(j == k)) for j in range(n)] for k in range(n)]
+    b = [entry(rng.randint(0, 4)) for _ in range(n)]
+    for _ in range(rng.randint(1, 3)):
+        A.append([entry(rng.randint(-3, 3)) for _ in range(n)])
+        b.append(entry(rng.randint(-4, 8)))
+    return region(tuple(map(tuple, A)), tuple(b))
+
+
+def test_interval_scan_equals_the_box_scan():
+    # enumerate_feasible cuts the last coordinate to one interval per
+    # prefix; the oracle shares it, so only the box scan can check it.
+    rng = random.Random(71)
+    seen = dict.fromkeys(
+        ("n = 1", "negative last", "zero last", "fraction", "empty slice", "empty D"), 0
+    )
+    for _ in range(400):
+        inst = scan_region(rng)
+        D = enumerate_feasible(inst)
+        assert D == box_scan(inst)
+        poly, bounds = inst.polyhedron, coordinate_bounds(inst)
+        seen["n = 1"] += inst.n == 1
+        seen["negative last"] += any(a[-1] < 0 for a in poly.A)
+        seen["zero last"] += any(a[-1] == 0 for a in poly.A)
+        seen["fraction"] += any(type(v) is F for v in (*poly.b, *poly.A[-1]))
+        seen["empty slice"] += len({x[:-1] for x in D}) < math.prod(u + 1 for u in bounds[:-1])
+        seen["empty D"] += not D
+    assert all(seen.values()), seen
+    # Nonempty as a region, with no integer point: 1 <= 2 x1 <= 1.
+    half = region(((2,), (-2,)), (1, -1))
+    assert coordinate_bounds(half) == (0,)
+    assert enumerate_feasible(half) == box_scan(half) == []
+    # An empty region, and the single point (2, 1) with Fraction data.
+    empty = region(((1, 1), (-1, -1)), (1, -2))
+    assert enumerate_feasible(empty) == box_scan(empty) == []
+    single = region(((F(1), 0), (-1, 0), (0, F(1)), (0, -1)), (F(2), -2, 1, F(-1)))
+    assert enumerate_feasible(single) == box_scan(single) == [(2, 1)]
 
 
 def test_demo_enumeration(demo_instance):

@@ -154,6 +154,12 @@ def test_satisfied_by_matches_the_fraction_reference():
         for y in points:
             want = all(v >= 0 for v in extend_point(system, y))
             assert system.satisfied_by(y) == want
+            # The same point as integer numerators over a common
+            # denominator, the least one and a multiple of it.
+            den = lcm(*(F(v).denominator for v in y))
+            nums = [int(v * den) for v in y]
+            assert system.satisfied_by(nums, den) == want
+            assert system.satisfied_by([3 * v for v in nums], 3 * den) == want
             seen["verdicts"].add(want)
         seen["tight and satisfied"] += tight and system.satisfied_by(z)
         with pytest.raises(ValueError):
