@@ -1,10 +1,16 @@
-"""Brute-force ground truth: enumerate D and filter both Pareto sets."""
+"""Brute-force ground truth: enumerate D and filter both Pareto sets.
+
+Each Pareto set comes from a sort-then-scan over integer criteria: the
+quadratics doubled to ints, each preference one exact Fraction of two
+ints.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from fractions import Fraction
+from itertools import compress, product
+from operator import le, mul
 from typing import Callable, Sequence
 
 from .instance import Instance, _integral
@@ -82,19 +88,45 @@ def pareto_filter(
     """Non-dominated points under componentwise <=, preserving input order.
 
     A point falls only to a strictly better vector; equal vectors coexist.
+    Sort-then-scan (Kung, Luccio & Preparata 1975): a vector's dominators
+    are lexicographically smaller, and by transitivity some undominated
+    point dominates it too, so a scan in sorted order tests each point
+    only against the distinct vectors kept before it.  Equal vectors sort
+    next to each other, so a point whose vector is the last one kept
+    stays.  The work is about |points| times the size of the front.
     """
     vals = [tuple(criteria(p)) for p in points]
-    kept = []
-    for i, p in enumerate(points):
-        vi = vals[i]
-        dominated = any(
-            vj != vi and all(a <= b for a, b in zip(vj, vi))
-            for k, vj in enumerate(vals)
-            if k != i
-        )
-        if not dominated:
-            kept.append(p)
-    return kept
+    front: list[tuple] = []
+    keep = [False] * len(points)
+    for i in sorted(range(len(points)), key=vals.__getitem__):
+        v = vals[i]
+        if front and front[-1] == v:
+            keep[i] = True
+        elif not any(all(map(le, w, v)) for w in front):
+            front.append(v)
+            keep[i] = True
+    return list(compress(points, keep))
+
+
+def _quadratic_criteria(inst: Instance) -> Callable[[IntPoint], tuple[int, ...]]:
+    """y -> (F_1(y), ..., F_r(y)) in ints, F_i(y) = y'Q_i y + 2c_i'y = 2 f_i(y):
+    the criteria doubled, so the same dominance order."""
+    forms = [(obj.Q, [2 * ci for ci in obj.c]) for obj in inst.quadratics]
+    return lambda y: tuple(
+        sum(v * (sum(map(mul, row, y)) + c2) for v, row, c2 in zip(y, Q, c))
+        for Q, c in forms
+    )
+
+
+def _preference_criteria(inst: Instance) -> Callable[[IntPoint], tuple[Fraction, ...]]:
+    """y -> (psi_1(y), psi_2(y)), each one Fraction(P_s, Q_s) of the integer
+    numerator and denominator of FractionalObjective.integers: the value
+    fr.value(y) itself, and a zero denominator raises ZeroDivisionError."""
+    forms = [fr.integers[:4] for fr in inst.fractionals]
+    return lambda y: tuple(
+        Fraction(sum(map(mul, p, y)) + alpha, sum(map(mul, q, y)) + beta)
+        for p, alpha, q, beta in forms
+    )
 
 
 @dataclass(frozen=True)
@@ -108,10 +140,12 @@ class ParetoSets:
 
 
 def oracle_solve(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> ParetoSets:
-    """Reference efficiency sets by pairwise dominance over all of D."""
+    """Reference efficiency sets over all of D: a sort-then-scan maxima
+    filter over integer criteria, the doubled quadratics in ints and each
+    preference as one exact Fraction of two ints."""
     D = enumerate_feasible(inst, enum_cap)
-    X_Q = pareto_filter(D, lambda x: tuple(obj.value(x) for obj in inst.quadratics))
-    X_F = pareto_filter(D, lambda x: tuple(fr.value(x) for fr in inst.fractionals))
+    X_Q = pareto_filter(D, _quadratic_criteria(inst))
+    X_F = pareto_filter(D, _preference_criteria(inst))
     in_f = set(X_F)
     X_Eff = [x for x in X_Q if x in in_f]
     return ParetoSets(tuple(D), tuple(X_Q), tuple(X_F), tuple(X_Eff))

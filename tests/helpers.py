@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
+
+from hypothesis import strategies as st
 
 from effcut import (
     FractionalObjective,
     Instance,
     Polyhedron,
     QuadraticObjective,
+    System,
     coordinate_bounds,
 )
 from effcut.instance import _integers
@@ -98,6 +102,65 @@ def box_scan(inst: Instance) -> list[tuple[int, ...]]:
     poly = inst.polyhedron
     box = product(*(range(u + 1) for u in coordinate_bounds(inst)))
     return [x for x in box if poly.contains(x)]
+
+
+def three_point_line(q, beta) -> Instance:
+    """D = {0, 1, 2} on a line; every point is quadratic-efficient, psi_1 = x
+    is minimized at 0, and psi_2 = 1 / (q x + beta)."""
+    return Instance(
+        n=1,
+        r=2,
+        quadratics=(
+            QuadraticObjective(((0,),), (1,)),
+            QuadraticObjective(((0,),), (-1,)),
+        ),
+        fractionals=(
+            FractionalObjective((F(1),), (F(0),), F(0), F(1)),
+            FractionalObjective((F(0),), (F(q),), F(1), F(beta)),
+        ),
+        polyhedron=Polyhedron(((1,),), (2,)),
+    )
+
+
+def _draw_rational(data, low: int, high: int) -> Fraction:
+    """A fraction k / d in [low, high], drawn from hypothesis's st.data()
+    as d in 1..12 and then k in ceil(low d)..high d.  Two integer draws
+    cost far less than one st.fractions draw."""
+    d = data.draw(st.integers(1, 12))
+    return F(data.draw(st.integers(math.ceil(low * d), high * d)), d)
+
+
+def rational_preferences(data, n: int) -> tuple[FractionalObjective, ...]:
+    """A preference pair with rational data of denominators up to 12, drawn
+    from hypothesis's st.data(); q >= 0 with beta > 0 keeps the
+    denominators positive on x >= 0."""
+    return tuple(
+        FractionalObjective(
+            p=tuple(_draw_rational(data, -10, 10) for _ in range(n)),
+            q=tuple(_draw_rational(data, 0, 5) for _ in range(n)),
+            alpha=_draw_rational(data, -10, 10),
+            beta=_draw_rational(data, F(1, 12), 10),
+        )
+        for _ in range(2)
+    )
+
+
+def pareto_pairwise(points, criteria) -> list:
+    """Non-dominated points by comparing every pair, preserving input
+    order: a point falls only to a different vector that is <= it in
+    every component.  The reference for oracle.pareto_filter."""
+    vals = [tuple(criteria(p)) for p in points]
+    kept = []
+    for i, p in enumerate(points):
+        vi = vals[i]
+        dominated = any(
+            vj != vi and all(a <= b for a, b in zip(vj, vi))
+            for k, vj in enumerate(vals)
+            if k != i
+        )
+        if not dominated:
+            kept.append(p)
+    return kept
 
 
 # Seed of the rational systems that test_simplex and test_cuts share.
@@ -208,6 +271,39 @@ def extend_point(system, x):
     for row in system.rows:
         vals.append(row.rhs - sum(v * vals[j - 1] for j, v in row.coeffs))
     return tuple(vals)
+
+
+def node_system(inst, node):
+    """The instance's rows plus the node's branch and cut rows."""
+    system = System.from_polyhedron(inst.polyhedron)
+    for row in node.extra_rows:
+        system.add_row(row)
+    return system
+
+
+def cut_safety_failures(inst, result, x_eff):
+    """Criterion 7's check of a solve: at every node that added cuts, each
+    point of x_eff other than the node's optimum that satisfies the node's
+    system satisfies both cuts.  Returns (checks made, failure messages)."""
+    cut_events = {ev["node"]: ev for ev in result.trace if ev["action"] == "cuts_added"}
+    checked, failures = 0, []
+    for node in result.nodes:
+        ev = cut_events.get(node.id)
+        if ev is None:
+            continue
+        system = node_system(inst, node)
+        x_star = tuple(int(F(v)) for v in ev["point"])
+        for y in x_eff:
+            if y == x_star or not system.satisfied_by(y):
+                continue
+            ext = extend_point(system, y)
+            checked += 1
+            for name, indices in (("H", ev["H"]), ("H'", ev["H_prime"])):
+                if sum(ext[j - 1] for j in indices) < 1:
+                    failures.append(
+                        "node %d: efficient point %r violates the %s cut" % (node.id, y, name)
+                    )
+    return checked, failures
 
 
 def tableau_point(tab):

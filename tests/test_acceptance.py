@@ -22,7 +22,7 @@ from effcut import (
 )
 from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut import test_moiqp_efficiency as moiqp_efficiency
-from helpers import extend_point, gamma_numerators, price
+from helpers import cut_safety_failures, gamma_numerators, node_system, price
 
 F = Fraction
 
@@ -70,13 +70,6 @@ def corpus_results(corpus, corpus_cache):
             (inst, solve(inst), oracle_solve(inst)) for inst in corpus
         ]
     return corpus_cache["results"]
-
-
-def node_system(inst, node):
-    system = System.from_polyhedron(inst.polyhedron)
-    for row in node.extra_rows:
-        system.add_row(row)
-    return system
 
 
 def test_criterion_1_worked_example_end_to_end(demo_instance, acceptance_report):
@@ -266,26 +259,9 @@ def test_criterion_7_cut_safety(corpus, corpus_cache, acceptance_report):
     failures = []
     checked = 0
     for i, (inst, result, sets) in enumerate(corpus_results(corpus, corpus_cache)):
-        cut_events = {
-            ev["node"]: ev for ev in result.trace if ev["action"] == "cuts_added"
-        }
-        for node in result.nodes:
-            ev = cut_events.get(node.id)
-            if ev is None:
-                continue
-            system = node_system(inst, node)
-            x_star = tuple(int(F(v)) for v in ev["point"])
-            for y in sets.X_Eff:
-                if y == x_star or not system.satisfied_by(y):
-                    continue
-                ext = extend_point(system, y)
-                checked += 1
-                for name, indices in (("H", ev["H"]), ("H'", ev["H_prime"])):
-                    if sum(ext[j - 1] for j in indices) < 1:
-                        failures.append(
-                            "instance %d node %d: efficient point %r violates the %s cut"
-                            % (i, node.id, y, name)
-                        )
+        count, bad = cut_safety_failures(inst, result, sets.X_Eff)
+        checked += count
+        failures += ["instance %d %s" % (i, msg) for msg in bad]
     label = "every surviving efficient point satisfies both cuts (%d checks)" % checked
     report(acceptance_report, 7, label, failures)
 

@@ -10,17 +10,14 @@ from hypothesis import strategies as st
 
 from effcut import (
     EfficiencyVerdict,
-    FractionalObjective,
-    Instance,
     PointTable,
-    Polyhedron,
-    QuadraticObjective,
     enumerate_feasible,
     oracle_solve,
     solve,
 )
 from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut import test_moiqp_efficiency as moiqp_efficiency
+from helpers import rational_preferences, three_point_line
 
 F = Fraction
 
@@ -205,24 +202,6 @@ def test_single_point_region_is_trivially_efficient():
     assert boilfp_efficiency((0,), inst).efficient
 
 
-def three_point_line(q, beta):
-    """D = {0, 1, 2} on a line; every point is quadratic-efficient, psi_1 = x
-    is minimized at 0, and psi_2 = 1 / (q x + beta)."""
-    return Instance(
-        n=1,
-        r=2,
-        quadratics=(
-            QuadraticObjective(((0,),), (1,)),
-            QuadraticObjective(((0,),), (-1,)),
-        ),
-        fractionals=(
-            FractionalObjective((F(1),), (F(0),), F(0), F(1)),
-            FractionalObjective((F(0),), (F(q),), F(1), F(beta)),
-        ),
-        polyhedron=Polyhedron(((1,),), (2,)),
-    )
-
-
 # -- the integer point table --------------------------------------------------
 
 
@@ -236,19 +215,7 @@ def test_table_matches_reference_scans_on_the_corpus(corpus):
 @given(data=st.data())
 def test_table_matches_reference_scans_with_rational_preferences(corpus, data):
     base = corpus[data.draw(st.integers(0, len(corpus) - 1))]
-    signed = st.fractions(min_value=-10, max_value=10, max_denominator=12)
-    nonneg = st.fractions(min_value=0, max_value=5, max_denominator=12)
-    positive = st.fractions(min_value=F(1, 12), max_value=10, max_denominator=12)
-    fractionals = tuple(
-        FractionalObjective(
-            p=tuple(data.draw(signed) for _ in range(base.n)),
-            q=tuple(data.draw(nonneg) for _ in range(base.n)),
-            alpha=data.draw(signed),
-            beta=data.draw(positive),
-        )
-        for _ in range(2)
-    )
-    inst = dataclasses.replace(base, fractionals=fractionals)
+    inst = dataclasses.replace(base, fractionals=rational_preferences(data, base.n))
     assert_matches_reference(inst)
     assert_columns_are_cleared_criteria(inst)
 

@@ -1,10 +1,14 @@
 """Brute-force oracle: enumeration, dominance filtering, reference sets."""
 
+import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from effcut import (
     EnumerationCapError,
@@ -21,7 +25,14 @@ from effcut import (
     pareto_filter,
     solve_lfp,
 )
-from helpers import binary_instance, box_scan, random_instance
+from helpers import (
+    binary_instance,
+    box_scan,
+    pareto_pairwise,
+    random_instance,
+    rational_preferences,
+    three_point_line,
+)
 
 F = Fraction
 
@@ -230,3 +241,82 @@ def test_pareto_filter_self_consistency_on_random_instances():
             for other in sets.D:
                 vo = crit(other)
                 assert vo == vk or any(a > b for a, b in zip(vo, vk))
+
+
+def filter_case(rng):
+    """(points, criteria, kind, r) for the filter property: up to 24 points
+    drawn with repeats from a few labels, each label mapped to a vector of
+    r = 1-4 entries.  Kinds: small ints (many equal and comparable
+    vectors), an antichain (entries summing to one constant, so distinct
+    vectors are incomparable) and Fractions."""
+    r = rng.randint(1, 4)
+    size = rng.choice((0, 1, rng.randint(2, 24)))
+    labels = rng.randint(1, 30)
+    points = [(rng.randrange(labels),) for _ in range(size)]
+    kind = rng.choice(("ints", "antichain", "fractions"))
+    table = {}
+    for (k,) in set(points):
+        if kind == "ints":
+            table[k] = tuple(rng.randint(-2, 2) for _ in range(r))
+        elif kind == "antichain":
+            head = [rng.randint(-3, 3) for _ in range(r - 1)]
+            table[k] = (*head, 5 - sum(head))
+        else:
+            table[k] = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r))
+    return points, lambda p: table[p[0]], kind, r
+
+
+def test_sort_then_scan_equals_the_pairwise_reference():
+    rng = random.Random(1201)
+    seen = Counter()
+    for _ in range(3000):
+        points, crit, kind, r = filter_case(rng)
+        kept = pareto_filter(points, crit)
+        assert kept == pareto_pairwise(points, crit), (points, [crit(p) for p in points])
+        vectors = {crit(p) for p in points}
+        seen[kind] += 1
+        seen["r = %d" % r] += 1
+        seen["empty"] += not points
+        seen["single"] += len(points) == 1
+        seen["duplicate points"] += len(set(points)) < len(points)
+        seen["equal vectors"] += len(vectors) < len(set(points))
+        seen["antichain kept whole"] += kind == "antichain" and len(points) > 2 and kept == points
+        seen["some fall"] += len(kept) < len(points)
+    expected = (
+        "ints", "antichain", "fractions", "r = 1", "r = 2", "r = 3", "r = 4", "empty",
+        "single", "duplicate points", "equal vectors", "antichain kept whole", "some fall",
+    )
+    assert all(seen[k] for k in expected), seen
+
+
+def fraction_path_sets(inst):
+    """The oracle's sets by the pairwise reference over the Fraction values
+    of QuadraticObjective.value and FractionalObjective.value, on the box
+    scan's D."""
+    D = box_scan(inst)
+    X_Q = pareto_pairwise(D, lambda x: tuple(obj.value(x) for obj in inst.quadratics))
+    X_F = pareto_pairwise(D, lambda x: tuple(fr.value(x) for fr in inst.fractionals))
+    in_f = set(X_F)
+    return tuple(D), tuple(X_Q), tuple(X_F), tuple(x for x in X_Q if x in in_f)
+
+
+def test_oracle_sets_equal_the_fraction_path_on_the_corpus(corpus, demo_instance):
+    for inst in [demo_instance, *corpus]:
+        sets = oracle_solve(inst)
+        assert (sets.D, sets.X_Q, sets.X_F, sets.X_Eff) == fraction_path_sets(inst)
+
+
+@seed(20240917)
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_oracle_sets_equal_the_fraction_path_with_rational_preferences(corpus, data):
+    base = corpus[data.draw(st.integers(0, len(corpus) - 1))]
+    inst = dataclasses.replace(base, fractionals=rational_preferences(data, base.n))
+    sets = oracle_solve(inst)
+    assert (sets.D, sets.X_Q, sets.X_F, sets.X_Eff) == fraction_path_sets(inst)
+
+
+def test_zero_preference_denominator_on_D_raises():
+    # q x + beta = 2 - x is zero at x = 2, a point of D = {0, 1, 2}.
+    with pytest.raises(ZeroDivisionError):
+        oracle_solve(three_point_line(-1, 2))

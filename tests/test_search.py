@@ -4,9 +4,12 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from effcut import (
     FractionalObjective,
@@ -23,7 +26,14 @@ from effcut import (
     solve,
 )
 from effcut.search import render_trace
-from helpers import PivotCounts, binary_instance, random_instance
+from helpers import (
+    PivotCounts,
+    binary_instance,
+    cut_safety_failures,
+    quadratics,
+    random_instance,
+    rational,
+)
 from test_cli import EMPTY_REGION
 
 F = Fraction
@@ -395,3 +405,97 @@ def test_random_instances_complete_within_default_budget():
         res = solve(random_instance(rng))
         assert res.complete
         assert all(node.status != "open" for node in res.nodes)
+
+
+# -- differential fuzz against the oracle --------------------------------------
+
+# Largest box side per dimension, so that |D| stays at most 125.
+FUZZ_SIDE = {1: 6, 2: 5, 3: 4, 4: 2, 5: 1}
+FUZZ_REGIONS = ("random rows", "degenerate", "single point", "empty")
+
+
+def fuzz_instance(data):
+    """(instance, region kind) drawn from hypothesis's st.data(): n = 1-5 in
+    a box of sides up to FUZZ_SIDE[n], extra rows of one kind, and, from
+    one drawn Random, convex criteria with Q = M'M and a preference pair
+    of rationals whose denominators are positive on x >= 0.  Kinds:
+
+    - random rows a'x <= b, b of either sign, so D may be empty;
+    - degenerate: rows a'x <= a'v through a corner v of the box, and a box
+      row repeated, so more than n constraints are tight at the vertex v;
+    - single point: v <= x <= v for a point v of the box, so D = {v};
+    - empty: sum x >= 1 + the box's top sum.
+    """
+    draw = data.draw
+    n = draw(st.integers(1, 5))
+    upper = [draw(st.integers(0, FUZZ_SIDE[n])) for _ in range(n)]
+    A = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    b = list(upper)
+    kind = draw(st.sampled_from(FUZZ_REGIONS))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    if kind == "random rows":
+        for _ in range(draw(st.integers(0, 3))):
+            A.append(draw(row))
+            b.append(draw(st.integers(-2, 8)))
+    elif kind == "degenerate":
+        v = [draw(st.sampled_from((0, u))) for u in upper]
+        for _ in range(draw(st.integers(1, 3))):
+            a = draw(row)
+            A.append(a)
+            b.append(sum(x * y for x, y in zip(a, v)))
+        k = draw(st.integers(0, n - 1))
+        A.append(A[k])
+        b.append(b[k])
+    elif kind == "single point":
+        v = [draw(st.integers(0, u)) for u in upper]
+        b = list(v)
+        A += [tuple(-int(j == k) for j in range(n)) for k in range(n)]
+        b += [-x for x in v]
+    else:
+        A.append((-1,) * n)
+        b.append(-1 - sum(upper))
+    rng = draw(st.randoms(use_true_random=False))
+    quads = quadratics(rng, n)
+    fracs = tuple(
+        FractionalObjective(
+            p=tuple(rational(rng, -10, 10) for _ in range(n)),
+            q=tuple(rational(rng, 0, 5) for _ in range(n)),
+            alpha=rational(rng, -10, 10),
+            beta=rational(rng, 1, 10),
+        )
+        for _ in range(2)
+    )
+    inst = Instance(
+        n=n,
+        r=len(quads),
+        quadratics=quads,
+        fractionals=fracs,
+        polyhedron=Polyhedron(tuple(A), tuple(b)),
+    )
+    return inst, kind
+
+
+def test_solve_equals_the_oracle_under_differential_fuzz():
+    # A mismatch here is a bug to fix, never a reason to narrow the strategy.
+    seen = Counter()
+
+    @seed(20240917)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        inst, kind = fuzz_instance(data)
+        res, sets = solve(inst), oracle_solve(inst)
+        assert res.complete
+        assert res.x_eff == sets.X_Eff
+        assert cut_safety_failures(inst, res, sets.X_Eff)[1] == []
+        seen[kind] += 1
+        seen["n = %d" % inst.n] += 1
+        seen["empty D"] += not sets.D
+        seen["|D| = 1"] += len(sets.D) == 1
+        seen["empty X_Eff"] += bool(sets.D) and not sets.X_Eff
+        seen["cuts"] += res.cut_count > 0
+
+    check()
+    expected = (*FUZZ_REGIONS, *("n = %d" % n for n in FUZZ_SIDE), "empty D",
+                "|D| = 1", "empty X_Eff", "cuts")
+    assert all(seen[k] for k in expected), seen
