@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import oracle, search
 from .instance import InstanceFormatError, load_instance, validate_instance
@@ -20,23 +19,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_BUDGET = 2
 EXIT_MISMATCH = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    instance_path: str
-    mode: str = "solve"
-    branching_rule: str = "first-fractional"
-    node_budget: int = search.DEFAULT_NODE_BUDGET
-    enumeration_cap: int = oracle.DEFAULT_ENUM_CAP
-    trace_path: str | None = None
-    output_path: str | None = None
-
-    def __post_init__(self):
-        if self.node_budget < 1:
-            raise ValueError("node budget must be at least 1")
-        if self.enumeration_cap < 1:
-            raise ValueError("enumeration cap must be at least 1")
 
 
 def _point_lines(points) -> list[str]:
@@ -113,15 +95,16 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line; returns its exit code."""
     try:
-        inst = load_instance(config.instance_path)
+        inst = load_instance(args.instance)
     except (OSError, InstanceFormatError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     violations = validate_instance(inst)
-    if config.mode == "validate":
-        _emit(render_validate_result(violations), config.output_path)
+    if args.mode == "validate":
+        _emit(render_validate_result(violations), args.output)
         return EXIT_OK if not violations else EXIT_INVALID
     if violations:
         for v in violations:
@@ -129,37 +112,37 @@ def run(config: RunConfig) -> int:
         return EXIT_INVALID
 
     try:
-        return _run_mode(inst, config)
+        return _run_mode(inst, args)
     except oracle.EnumerationCapError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
 
 
-def _run_mode(inst, config: RunConfig) -> int:
+def _run_mode(inst, args: argparse.Namespace) -> int:
     """Run a valid instance in the solve, oracle or check mode."""
-    if config.mode == "oracle":
-        sets = oracle.oracle_solve(inst, config.enumeration_cap)
-        _emit(render_oracle_result(sets), config.output_path)
+    if args.mode == "oracle":
+        sets = oracle.oracle_solve(inst, args.enum_cap)
+        _emit(render_oracle_result(sets), args.output)
         return EXIT_OK
 
     result = search.solve(
         inst,
-        branching_rule=config.branching_rule,
-        node_budget=config.node_budget,
-        enum_cap=config.enumeration_cap,
+        branching_rule=args.branching,
+        node_budget=args.node_budget,
+        enum_cap=args.enum_cap,
     )
-    if config.trace_path:
-        with open(config.trace_path, "w", encoding="utf-8") as fh:
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(search.render_trace(result.trace))
 
-    if config.mode == "solve":
-        _emit(render_solve_result(result), config.output_path)
+    if args.mode == "solve":
+        _emit(render_solve_result(result), args.output)
         return EXIT_OK if result.complete else EXIT_BUDGET
 
     # check: compare the two independently computed efficient sets
-    sets = oracle.oracle_solve(inst, config.enumeration_cap)
+    sets = oracle.oracle_solve(inst, args.enum_cap)
     agree = set(result.x_eff) == set(sets.X_Eff)
-    _emit(render_check_result(result.x_eff, sets.X_Eff, agree), config.output_path)
+    _emit(render_check_result(result.x_eff, sets.X_Eff, agree), args.output)
     if not result.complete:
         return EXIT_BUDGET
     return EXIT_OK if agree else EXIT_MISMATCH
@@ -192,20 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            instance_path=args.instance,
-            mode=args.mode,
-            branching_rule=args.branching,
-            node_budget=args.node_budget,
-            enumeration_cap=args.enum_cap,
-            trace_path=args.trace,
-            output_path=args.output,
-        )
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    return run(config)
+    for value, name in (
+        (args.node_budget, "node budget"),
+        (args.enum_cap, "enumeration cap"),
+    ):
+        if value < 1:
+            print("error: %s must be at least 1" % name, file=sys.stderr)
+            return EXIT_INVALID
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -421,29 +421,28 @@ def validate_instance(inst: Instance) -> list[str]:
     """
     from . import simplex  # deferred; simplex imports this module
 
+    n = inst.n
+    objectives = [
+        simplex.linear_objective([-int(i == k) for i in range(n)]) for k in range(n)
+    ] + [simplex.linear_objective(frac.q, frac.beta) for frac in inst.fractionals]
+    minima = simplex.minimize_each(
+        simplex.System.from_polyhedron(inst.polyhedron), objectives
+    )
     violations: list[str] = []
-    base = simplex.System.from_polyhedron(inst.polyhedron)
-    out = simplex.solve_lfp(base, simplex.ZERO_OBJECTIVE)
-    if isinstance(out, simplex.Infeasible):
+    if isinstance(minima, simplex.Infeasible):
         violations.append("empty feasible region")
     else:
-        for k in range(inst.n):
-            p = tuple(Fraction(-1) if i == k else ZERO for i in range(inst.n))
-            try:
-                simplex.solve_lfp(base, simplex.linear_objective(p))
-            except simplex.UnboundedError:
-                violations.append("unbounded region (x%d has no finite maximum)" % (k + 1))
-        for s, frac in enumerate(inst.fractionals, 1):
-            try:
-                res = simplex.solve_lfp(base, simplex.linear_objective(frac.q, frac.beta))
-            except simplex.UnboundedError:
+        for k, v in enumerate(minima[:n], 1):
+            if v is None:
+                violations.append("unbounded region (x%d has no finite maximum)" % k)
+        for s, v in enumerate(minima[n:], 1):
+            if v is None:
                 violations.append(
                     "denominator nonpositive (objective %d unbounded below)" % s
                 )
-                continue
-            if res.value <= 0:
+            elif v <= 0:
                 violations.append(
-                    "denominator nonpositive (objective %d, minimum %s)" % (s, res.value)
+                    "denominator nonpositive (objective %d, minimum %s)" % (s, v)
                 )
     for i, obj in enumerate(inst.quadratics, 1):
         if not obj.is_psd():

@@ -26,7 +26,7 @@ class EnumerationCapError(RuntimeError):
 
 def coordinate_bounds(inst: Instance) -> tuple[int, ...]:
     """Per-coordinate integer upper bounds from LP maxima; all -1 when the
-    region is empty."""
+    region is empty, UnboundedError when some coordinate has no maximum."""
     from . import simplex
 
     objectives = [
@@ -38,6 +38,8 @@ def coordinate_bounds(inst: Instance) -> tuple[int, ...]:
     )
     if isinstance(minima, simplex.Infeasible):
         return tuple(-1 for _ in range(inst.n))
+    if None in minima:
+        raise simplex.UnboundedError("some coordinate has no finite maximum")
     return tuple(int(-v) for v in minima)  # floors: each maximum is exact, >= 0
 
 

@@ -105,9 +105,6 @@ class System:
     def registry_size(self) -> int:
         return self.n + len(self.rows)
 
-    def slack_id(self, row_index: int) -> int:
-        return self.n + row_index + 1
-
     def add_row(self, row: Row) -> int:
         """Append a row (normalizing '>=' to '<='); returns its slack id."""
         row = row.normalized()
@@ -449,17 +446,26 @@ def solve_lfp(
 
 def minimize_each(
     system: System, objectives: Iterable[FractionalObjective]
-) -> list[Fraction] | Infeasible:
+) -> list[Fraction | None] | Infeasible:
     """Minimum values of several objectives over one system, on one tableau.
 
     The zero-objective dual pass runs once; each primal pass then starts
-    from the previous optimum, which stays a feasible basis, and each
-    optimum is checked as solve_lfp checks its own.
+    from the basis where the previous one stopped.  That basis stays
+    feasible: it is an optimum, or the basis at which _primal found an
+    unbounded column, before any pivot on it.  An objective unbounded
+    below reads None, and each optimum is checked as solve_lfp checks
+    its own.
     """
     tab = Tableau(system)
     if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
         return Infeasible()
-    return [_finish(tab, tab._primal(obj)).value for obj in objectives]
+    minima: list[Fraction | None] = []
+    for obj in objectives:
+        try:
+            minima.append(_finish(tab, tab._primal(obj)).value)
+        except UnboundedError:
+            minima.append(None)
+    return minima
 
 
 def add_rows_and_reoptimize(

@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 
 from effcut import (
     FractionalObjective,
+    Infeasible,
     Instance,
     Polyhedron,
     QuadraticObjective,
     System,
+    UnboundedError,
     coordinate_bounds,
+    linear_objective,
+    solve_lfp,
 )
+from effcut.simplex import ZERO_OBJECTIVE
 from effcut.instance import _integers
 
 F = Fraction
@@ -102,6 +107,39 @@ def box_scan(inst: Instance) -> list[tuple[int, ...]]:
     poly = inst.polyhedron
     box = product(*(range(u + 1) for u in coordinate_bounds(inst)))
     return [x for x in box if poly.contains(x)]
+
+
+def validate_cold(inst: Instance) -> list[str]:
+    """validate_instance's violations by one fresh solve_lfp per question:
+    a feasibility solve, the n coordinate maxima, then both denominator
+    minima.  The reference for validate_instance's single tableau."""
+    violations: list[str] = []
+    base = System.from_polyhedron(inst.polyhedron)
+    if isinstance(solve_lfp(base, ZERO_OBJECTIVE), Infeasible):
+        violations.append("empty feasible region")
+    else:
+        for k in range(inst.n):
+            p = tuple(F(-1) if i == k else F(0) for i in range(inst.n))
+            try:
+                solve_lfp(base, linear_objective(p))
+            except UnboundedError:
+                violations.append("unbounded region (x%d has no finite maximum)" % (k + 1))
+        for s, frac in enumerate(inst.fractionals, 1):
+            try:
+                res = solve_lfp(base, linear_objective(frac.q, frac.beta))
+            except UnboundedError:
+                violations.append(
+                    "denominator nonpositive (objective %d unbounded below)" % s
+                )
+                continue
+            if res.value <= 0:
+                violations.append(
+                    "denominator nonpositive (objective %d, minimum %s)" % (s, res.value)
+                )
+    for i, obj in enumerate(inst.quadratics, 1):
+        if not obj.is_psd():
+            violations.append("Q%d not positive semidefinite" % i)
+    return violations
 
 
 def three_point_line(q, beta) -> Instance:

@@ -8,7 +8,6 @@ from effcut.cli import (
     EXIT_INVALID,
     EXIT_MISMATCH,
     EXIT_OK,
-    RunConfig,
     main,
     parse_result_document,
     render_check_result,
@@ -145,8 +144,8 @@ def test_check_mismatch_exit(demo_path, capsys, monkeypatch):
 def test_nonpositive_budget_rejected(demo_path, capsys):
     assert main(["--instance", demo_path, "--node-budget", "0"]) == EXIT_INVALID
     assert "node budget" in capsys.readouterr().err
-    with pytest.raises(ValueError):
-        RunConfig(instance_path=demo_path, enumeration_cap=0)
+    assert main(["--instance", demo_path, "--enum-cap", "0"]) == EXIT_INVALID
+    assert "enumeration cap" in capsys.readouterr().err
 
 
 # -- artifacts ----------------------------------------------------------------

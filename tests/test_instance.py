@@ -15,7 +15,13 @@ from effcut import (
     render_instance,
     validate_instance,
 )
-from helpers import is_psd_reference, random_instance, solve_exact
+from helpers import (
+    is_psd_reference,
+    quadratics,
+    random_instance,
+    solve_exact,
+    validate_cold,
+)
 
 F = Fraction
 
@@ -353,8 +359,61 @@ def test_validate_flags_unbounded_region():
         ),
         polyhedron=Polyhedron(((1, -1),), (0,)),
     )
-    violations = validate_instance(inst)
-    assert any("unbounded" in v for v in violations)
+    assert validate_instance(inst) == [
+        "unbounded region (x1 has no finite maximum)",
+        "unbounded region (x2 has no finite maximum)",
+    ]
+
+
+def screening_instance(rng: random.Random) -> Instance:
+    """An instance that may break any precondition: some coordinates lack
+    an upper row, rhs may be negative, denominators take either sign, and
+    a criterion may be negated to concave."""
+    n = rng.randint(1, 4)
+    rows, rhs = [], []
+    for k in range(n):
+        if rng.random() < 0.75:
+            rows.append(tuple(int(j == k) for j in range(n)))
+            rhs.append(rng.randint(-1, 5))
+    for _ in range(rng.randint(0 if rows else 1, 2)):
+        rows.append(tuple(rng.randint(-3, 3) for _ in range(n)))
+        rhs.append(rng.randint(-3, 8))
+    quads = list(quadratics(rng, n))
+    if rng.random() < 0.2:
+        Q, c = quads[0].Q, quads[0].c
+        quads[0] = QuadraticObjective(tuple(tuple(-v for v in row) for row in Q), c)
+    fracs = tuple(
+        FractionalObjective(
+            p=tuple(F(rng.randint(-5, 5)) for _ in range(n)),
+            q=tuple(F(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(n)),
+            alpha=F(rng.randint(-5, 5)),
+            beta=F(rng.randint(-3, 8), rng.randint(1, 3)),
+        )
+        for _ in range(2)
+    )
+    return Instance(n, len(quads), tuple(quads), fracs, Polyhedron(tuple(rows), tuple(rhs)))
+
+
+def test_validate_equals_one_cold_solve_per_question():
+    rng = random.Random(1313)
+    seen = {}
+    for _ in range(600):
+        inst = screening_instance(rng)
+        got = validate_instance(inst)
+        assert got == validate_cold(inst)
+        unbounded = sum(v.startswith("unbounded region") for v in got)
+        kinds = {
+            "valid": not got,
+            "empty": "empty feasible region" in got,
+            "one unbounded": unbounded == 1,
+            "several unbounded": unbounded > 1,
+            "denominator unbounded": any("unbounded below" in v for v in got),
+            "denominator minimum": any("minimum" in v for v in got),
+            "concave": any("semidefinite" in v for v in got),
+        }
+        for kind, hit in kinds.items():
+            seen[kind] = seen.get(kind, 0) + hit
+    assert min(seen.values()) >= 20, seen
 
 
 def test_validate_flags_empty_region():

@@ -18,6 +18,7 @@ from effcut import (
     UnboundedError,
     add_rows_and_reoptimize,
     linear_objective,
+    minimize_each,
     oracle_solve,
     solve,
     solve_lfp,
@@ -98,11 +99,15 @@ def test_row_normalized_negates_ge():
 
 
 def test_registry_numbering(demo_instance):
-    system = System.from_polyhedron(demo_instance.polyhedron)
-    assert system.n == 3
+    poly = demo_instance.polyhedron
+    system = System(poly.n)
+    ids = [
+        system.add_row(Row.make({j + 1: v for j, v in enumerate(arow)}, "<=", rhs))
+        for arow, rhs in zip(poly.A, poly.b)
+    ]
+    assert ids == [4, 5]
+    assert system.rows == System.from_polyhedron(poly).rows
     assert system.registry_size == 5
-    assert system.slack_id(0) == 4
-    assert system.slack_id(1) == 5
     slack = system.add_row(Row.make({3: 1, 5: 1}, ">=", 1))
     assert slack == 6
     assert system.registry_size == 6
@@ -225,6 +230,29 @@ def test_unbounded_objective_raises():
     system = System.from_polyhedron(Polyhedron(((1, -1),), (0,)))
     with pytest.raises(UnboundedError):
         solve_lfp(system, linear_objective((-1, 0)))
+
+
+def test_minimize_each_reads_none_for_an_unbounded_objective():
+    # x1 <= x2 and x1 <= 2: x1 is bounded above, x2 is not.
+    system = System.from_polyhedron(Polyhedron(((1, -1), (1, 0)), (0, 2)))
+    objectives = [
+        linear_objective((-1, 0)),
+        linear_objective((0, -1)),  # unbounded below
+        FractionalObjective((F(-1), F(1)), (F(1), F(0)), F(1), F(1)),
+        linear_objective((1, -1)),  # unbounded below
+        linear_objective((-1, 1), 3),
+    ]
+    minima = minimize_each(system, objectives)
+    assert minima == [-2, None, F(1, 3), None, 3]
+    for obj, got in zip(objectives, minima):
+        if got is None:
+            with pytest.raises(UnboundedError):
+                solve_lfp(system, obj)
+        else:
+            assert got == solve_lfp(system, obj).value
+    empty = box(1)
+    empty.add_row(Row.make({1: 1}, ">=", 2))
+    assert isinstance(minimize_each(empty, objectives), Infeasible)
 
 
 def test_redundant_zero_row_is_harmless():
@@ -404,7 +432,7 @@ def assert_tableau_is_basis_inverse(tab):
     for k, row in enumerate(system.rows):
         for j, v in row.coeffs:
             matrix[k][j - 1] = v
-        matrix[k][system.slack_id(k) - 1] = F(1)
+        matrix[k][system.n + k] = F(1)  # row k's slack has id n + k + 1
     basis = [[matrix[r][b - 1] for b in tab.basis] for r in range(m)]
     for k in range(ncols + 1):
         if k < ncols:
