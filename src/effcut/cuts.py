@@ -90,7 +90,8 @@ def build_cut_report(
         [sum(q * v for q, v in zip(Qi, X)) + c * d for Qi, c in zip(obj.Q, obj.c)]
         for obj in inst.quadratics
     )
-    f_bar = tuple(tableau._reduced(grad, 0, cols)[1] for grad in grads)
+    rows = (tableau._reduced(enumerate(grad, 1), 0)[1] for grad in grads)
+    f_bar = tuple({j: row.get(j, 0) for j in cols} for row in rows)
     if gamma1 is None:
         gamma1 = tableau._priced(inst.fractionals[0], cols)[2]
     gamma2 = tableau._priced(inst.fractionals[1], cols)[2]

@@ -124,7 +124,9 @@ def solve(
     (some cut set empty) or push the cut successor.  The budget caps node
     pops; exhaustion clears the complete flag.  A criterion matrix that
     is not positive semidefinite raises ValueError, since the cuts are
-    safe only for convex criteria.
+    safe only for convex criteria.  The root relaxation is solved first:
+    warm passes on a clone of its tableau give the coordinate bounds of
+    the box that enumerate_feasible scans for D.
     """
     if branching_rule not in BRANCHING_RULES:
         raise ValueError("unknown branching rule %r" % branching_rule)
@@ -132,7 +134,8 @@ def solve(
         if not quad.is_psd():
             raise ValueError("Q%d not positive semidefinite" % i)
     objective = inst.fractionals[0]
-    table = PointTable(inst, enumerate_feasible(inst, enum_cap))
+    root = solve_lfp(System.from_polyhedron(inst.polyhedron), objective, observer)
+    table = PointTable(inst, enumerate_feasible(inst, enum_cap, root))
     trace: list[dict] = []
     nodes: list[Node] = [Node(0, None, ())]
     stack = [(nodes[0], None, ())]  # (node, parent tableau, pending rows)
@@ -148,7 +151,7 @@ def solve(
         node, parent_tab, pending = stack.pop()
         pops += 1
         if parent_tab is None:
-            outcome = solve_lfp(System.from_polyhedron(inst.polyhedron), objective, observer)
+            outcome = root
         else:
             outcome = add_rows_and_reoptimize(
                 parent_tab.clone(), pending, objective, observer

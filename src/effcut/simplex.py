@@ -13,9 +13,10 @@ slack with the next free id, and rows added later may reference earlier
 slacks.  Rows are integer, so every registry variable, each slack
 included, is an integer at every integer point: the efficiency cuts rest
 on it.  The tableau holds Python ints over one positive common
-denominator and pivots fraction-free (Bareiss); its optimality
-certificates leave it as integer numerators, and only the vertex and its
-value are fractions.Fraction.  No floats anywhere.
+denominator, each row only its nonzeros, and pivots fraction-free
+(Bareiss) over those nonzeros; its optimality certificates leave it as
+integer numerators, and only the vertex and its value are
+fractions.Fraction.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -145,22 +146,25 @@ class System:
 
 
 class Tableau:
-    """Fraction-free simplex dictionary over every registry column.
+    """Fraction-free, row-sparse simplex dictionary over the registry.
 
-    body and rhs hold Python ints over one positive common denominator d:
-    entry k of row i is body[i][k] / d and its value is rhs[i] / d.  d is
-    the absolute basis determinant of the system's integer rows, so every
-    entry is a minor of that system and the one-step update of
-    Bareiss divides exactly.  basis[i] is the variable id owning row i;
-    basic columns read d in their own row and zero elsewhere.  Every row,
-    the initial ones included, enters through append_row, and the tableau
-    keeps its own copy of the system it was built from.
+    body[i] holds the nonzero entries of row i as {id: int}, and rhs[i]
+    its value, all over one positive common denominator d: entry k of
+    row i is body[i].get(k, 0) / d.  d is the absolute basis determinant
+    of the system's integer rows, so every entry is a minor of that
+    system and the one-step update of Bareiss divides exactly.  basis[i]
+    is the variable id owning row i and row_of maps it back to i; a basic
+    column reads d in its own row and is absent from every other.  No
+    row stores a zero.  Every row, the initial ones included, enters
+    through append_row, and the tableau keeps its own copy of the system
+    it was built from.
     """
 
     def __init__(self, system: System):
         self.system = System(system.n)
         self.basis: list[int] = []
-        self.body: list[list[int]] = []
+        self.row_of: dict[int, int] = {}
+        self.body: list[dict[int, int]] = []
         self.rhs: list[int] = []
         self.d = 1
         for row in system.rows:
@@ -173,14 +177,15 @@ class Tableau:
         return self.system.registry_size
 
     def nonbasis(self) -> list[int]:
-        basic = set(self.basis)
-        return [j for j in range(1, self.ncols + 1) if j not in basic]
+        row_of = self.row_of
+        return [j for j in range(1, self.ncols + 1) if j not in row_of]
 
     def clone(self) -> "Tableau":
         twin = object.__new__(Tableau)
         twin.system = self.system.copy()
         twin.basis = list(self.basis)
-        twin.body = [list(r) for r in self.body]
+        twin.row_of = dict(self.row_of)
+        twin.body = [r.copy() for r in self.body]
         twin.rhs = list(self.rhs)
         twin.d = self.d
         return twin
@@ -205,50 +210,43 @@ class Tableau:
         The row sum_j a_j x_j + s = rhs is the reduced row of the linear form
         a'x - rhs with the slack s as its basic variable: basic columns read
         zero, and the new rhs is minus the form's vertex value, possibly
-        negative.
+        negative.  No other row changes.
         """
         slack = self.system.add_row(row)
         stored = self.system.rows[-1]
-        cost = [0] * (slack - 1)
-        for j, v in stored.coeffs:
-            cost[j - 1] = v
-        for r in self.body:
-            r.append(0)
-        value, reduced = self._reduced(cost, -stored.rhs, self.nonbasis())
-        dense = [reduced.get(j, 0) for j in range(1, slack + 1)]
-        dense[slack - 1] = self.d
-        self.body.append(dense)
+        value, reduced = self._reduced(stored.coeffs, -stored.rhs)
+        reduced[slack] = self.d
+        self.row_of[slack] = len(self.basis)
+        self.body.append(reduced)
         self.rhs.append(-value)
         self.basis.append(slack)
         return slack
 
     # -- pricing ----------------------------------------------------------
 
-    def _reduced(self, cost: Sequence[int], const: int, cols: Iterable[int]):
-        """Value at the vertex and reduced entries of the integer function
-        cost'x + const, both over d.
+    def _reduced(self, form: Iterable[tuple[int, int]], const: int):
+        """Value at the vertex and reduced row of the integer function
+        sum_j c_j x_j + const, both over d.
 
-        cost holds the coefficients of ids 1..len(cost); later ids cost
-        nothing.  The value is (d * const + sum_b cost_b * rhs_b) / d; entry
-        j of the row, for each id j in cols, is (d * cost_j - sum_b cost_b *
-        body_b[j]) / d.  Only basic rows whose variable has a nonzero cost
-        enter either sum.
+        form lists the (id, c_j) pairs; unlisted ids cost nothing.  The
+        value is (d * const + sum_b c_b * rhs_b) / d and the reduced row is
+        (d * c - sum_b c_b * body_b) / d, both sums over the basic ids b of
+        the form, each row read over its own nonzeros only.  The row comes
+        back as its nonzero entries; basic ids read zero.
         """
-        d = self.d
-        size = len(cost)
-        basic = [
-            (cost[b - 1], self.body[i], self.rhs[i])
-            for i, b in enumerate(self.basis)
-            if b <= size and cost[b - 1]
-        ]
-        value = d * const + sum(c * r for c, _, r in basic)
-        reduced = {}
-        for j in cols:
-            v = d * cost[j - 1] if j <= size else 0
-            for c, brow, _ in basic:
-                v -= c * brow[j - 1]
-            reduced[j] = v
-        return value, reduced
+        d, body, rhs, row_of = self.d, self.body, self.rhs, self.row_of
+        value = d * const
+        acc: dict[int, int] = {}
+        for j, c in form:
+            if not c:
+                continue
+            acc[j] = acc.get(j, 0) + d * c
+            i = row_of.get(j)
+            if i is not None:
+                value += c * rhs[i]
+                for k, a in body[i].items():
+                    acc[k] = acc.get(k, 0) - c * a
+        return value, {k: v for k, v in acc.items() if v}
 
     def _priced(self, obj: FractionalObjective, cols: Sequence[int]):
         """Integer pricing (Pn, Qn, G) of an objective over cols.
@@ -260,41 +258,57 @@ class Tableau:
         sign of gamma_j.
         """
         p, alpha, q, beta, _ = obj.integers
-        Pn, eta = self._reduced(p, alpha, cols)
-        Qn, theta = self._reduced(q, beta, cols)
-        return Pn, Qn, {j: Qn * eta[j] - Pn * theta[j] for j in cols}
+        Pn, eta = self._reduced(enumerate(p, 1), alpha)
+        Qn, theta = self._reduced(enumerate(q, 1), beta)
+        return Pn, Qn, {j: Qn * eta.get(j, 0) - Pn * theta.get(j, 0) for j in cols}
 
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, row: int, col_id: int) -> None:
-        """Bareiss update: a'_ik = (a_ik a_rs - a_is a_rk) / d, exactly.
+        """Bareiss update in place: a'_ik = (a_ik a_rs - a_is a_rk) / d,
+        exactly, over nonzeros only.
 
         The pivot row is negated first when a_rs < 0, so d' = |a_rs| stays
-        positive.  Rows with a zero in the pivot column only rescale by
-        a_rs / d, and stay as they are when a_rs == d.
+        positive.  A row with a_is != 0 takes the update on the pivot row's
+        ids, where a zero result is deleted, and rescales its other
+        entries by a_rs / d; a row with a_is == 0 only rescales.  When
+        a_rs == d no rescale is due, and the rows with a_is == 0 stay as
+        they are.  Every quotient is an entry of the new tableau, so each
+        division is exact and a nonzero entry never rescales to zero.
         """
-        col = col_id - 1
         body, rhs, d = self.body, self.rhs, self.d
         prow, prhs = body[row], rhs[row]
-        p = prow[col]
+        p = prow.get(col_id, 0)
         if p == 0:
             raise ValueError("zero pivot element")
         if p < 0:
             p = -p
-            prow = body[row] = [-v for v in prow]
+            prow = body[row] = {k: -v for k, v in prow.items()}
             prhs = rhs[row] = -prhs
-        for i in range(len(body)):
+        pitems = prow.items()
+        for i, brow in enumerate(body):
             if i == row:
                 continue
-            brow = body[i]
-            f = brow[col]
+            f = brow.get(col_id)
             if f:
-                body[i] = [(a * p - f * b) // d for a, b in zip(brow, prow)]
+                if p != d:
+                    for k, a in brow.items():
+                        if k not in prow:
+                            brow[k] = a * p // d
+                for k, b in pitems:
+                    v = (brow.get(k, 0) * p - f * b) // d
+                    if v:
+                        brow[k] = v
+                    else:
+                        del brow[k]
                 rhs[i] = (rhs[i] * p - f * prhs) // d
             elif p != d:
-                body[i] = [a * p // d for a in brow]
+                for k, a in brow.items():
+                    brow[k] = a * p // d
                 rhs[i] = rhs[i] * p // d
         self.d = p
+        del self.row_of[self.basis[row]]
+        self.row_of[col_id] = row
         self.basis[row] = col_id
 
     def _hard_cap(self) -> int:
@@ -317,7 +331,6 @@ class Tableau:
         which the stall-local linearity of gamma makes terminating.  Ratios
         compare by cross-multiplication.
         """
-        m = len(self.basis)
         stall_limit = self._stall_limit()
         stall = 0
         for _ in range(self._hard_cap()):
@@ -325,11 +338,10 @@ class Tableau:
             entering = min((j for j, g in priced[2].items() if g < 0), default=None)
             if entering is None:
                 return priced
-            col = entering - 1
             bland = stall > stall_limit
             best = None  # (rhs, entry, key, row) of the least ratio so far
-            for i in range(m):
-                a = self.body[i][col]
+            for i, brow in enumerate(self.body):
+                a = brow.get(entering, 0)
                 if a <= 0:
                     continue
                 r, key = self.rhs[i], (self.basis[i] if bland else -self.basis[i])
@@ -374,14 +386,14 @@ class Tableau:
             else:
                 row = min(infeasible, key=lambda i: (self.rhs[i], -self.basis[i]))
             prow = self.body[row]
-            cols = [j for j, a in enumerate(prow, 1) if a < 0]
+            cols = sorted(j for j, a in prow.items() if a < 0)
             if not cols:
                 return False
             gamma = self._priced(obj, cols)[2]
             entering = cols[0]
-            best_g, best_a = gamma[entering], -prow[entering - 1]
+            best_g, best_a = gamma[entering], -prow[entering]
             for j in cols[1:]:
-                g, a = gamma[j], -prow[j - 1]
+                g, a = gamma[j], -prow[j]
                 if g * best_a < best_g * a:
                     entering, best_g, best_a = j, g, a
             stall = stall + 1 if best_g == 0 else 0
@@ -445,20 +457,25 @@ def solve_lfp(
 
 
 def minimize_each(
-    system: System, objectives: Iterable[FractionalObjective]
+    start: System | Tableau, objectives: Iterable[FractionalObjective]
 ) -> list[Fraction | None] | Infeasible:
     """Minimum values of several objectives over one system, on one tableau.
 
-    The zero-objective dual pass runs once; each primal pass then starts
+    start is the system, whose fresh tableau the zero-objective dual pass
+    makes feasible once, or a feasible tableau of it, such as an optimum's
+    clone, which the passes pivot in place.  Each primal pass starts
     from the basis where the previous one stopped.  That basis stays
     feasible: it is an optimum, or the basis at which _primal found an
     unbounded column, before any pivot on it.  An objective unbounded
     below reads None, and each optimum is checked as solve_lfp checks
     its own.
     """
-    tab = Tableau(system)
-    if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
-        return Infeasible()
+    if isinstance(start, Tableau):
+        tab = start
+    else:
+        tab = Tableau(start)
+        if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
+            return Infeasible()
     minima: list[Fraction | None] = []
     for obj in objectives:
         try:

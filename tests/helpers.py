@@ -82,23 +82,32 @@ def random_instance(rng: random.Random) -> Instance:
     return _instance(n, quads, fracs, rows, rhs)
 
 
-def binary_instance(rng: random.Random) -> Instance:
-    """A valid 0/1 instance with deep cut paths.
-
-    n = 5 in the box [0, 1]^5 plus three random rows a'x <= b, each with b
-    drawn from [M/2, M] where M is the row's maximum over the box, so the
-    origin stays feasible and D keeps about 27 points.
-    """
-    n = 5
+def boxed_instance(rng: random.Random, n: int, upper: int, extra_rows: int) -> Instance:
+    """A valid instance in the box [0, upper]^n plus random rows a'x <= b,
+    each with b drawn from [M/2, M] where M is the row's maximum over the
+    box, so the origin stays feasible; then an independent preference
+    pair.  Draw for draw the benchmark's boxed workloads."""
     quads = quadratics(rng, n)
     rows = [[1 if j == k else 0 for j in range(n)] for k in range(n)]
-    rhs = [1] * n
-    for _ in range(3):
+    rhs = [upper] * n
+    for _ in range(extra_rows):
         a = [rng.randint(-3, 3) for _ in range(n)]
-        top = sum(max(v, 0) for v in a)
+        top = upper * sum(max(v, 0) for v in a)
         rows.append(a)
         rhs.append(rng.randint((top + 1) // 2, top))
     return _instance(n, quads, _fractionals(rng, n), rows, rhs)
+
+
+def binary_instance(rng: random.Random) -> Instance:
+    """A 0/1 instance with deep cut paths: n = 5 in [0, 1]^5 plus three
+    rows, so D keeps about 27 points."""
+    return boxed_instance(rng, 5, 1, 3)
+
+
+def deep_instance(rng: random.Random) -> Instance:
+    """n = 3 in [0, 12]^3 plus two rows: search trees of up to a few
+    hundred nodes, whose tableaus grow to about 100 rows."""
+    return boxed_instance(rng, 3, 12, 2)
 
 
 def box_scan(inst: Instance) -> list[tuple[int, ...]]:
@@ -352,6 +361,12 @@ def tableau_point(tab):
     return tuple(vals)
 
 
+def entry(tab, i, j):
+    """Entry of variable id j in tableau row i, as a Fraction: the rows
+    store nonzeros only, so an absent id reads zero."""
+    return F(tab.body[i].get(j, 0), tab.d)
+
+
 def price(tab, obj):
     """(P, Q, gamma) of a fractional objective at the tableau's vertex in
     Fractions: the integer pricing over the scale s = L d (L from
@@ -374,8 +389,8 @@ def reduced_gradient(tab, grad):
     positions carry zero gradient."""
     cost, scale = _integers([F(v) for v in grad])
     den = scale * tab.d
-    reduced = tab._reduced(cost, 0, tab.nonbasis())[1]
-    return {j: F(v, den) for j, v in reduced.items()}
+    reduced = tab._reduced(enumerate(cost, 1), 0)[1]
+    return {j: F(reduced.get(j, 0), den) for j in tab.nonbasis()}
 
 
 def is_psd_reference(Q):

@@ -20,6 +20,7 @@ from effcut import (
 )
 from helpers import (
     RATIONAL_SEED,
+    entry,
     quadratics,
     random_instance,
     rational_case,
@@ -158,7 +159,7 @@ def column_direction(tab, j):
         direction[j - 1] = F(1)
     for i, bid in enumerate(tab.basis):
         if bid <= n:
-            direction[bid - 1] -= F(tab.body[i][j - 1], tab.d)
+            direction[bid - 1] -= entry(tab, i, j)
     return tuple(direction)
 
 

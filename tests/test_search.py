@@ -20,16 +20,19 @@ from effcut import (
     Row,
     UnboundedError,
     branch,
+    load_instance,
     oracle_solve,
     parse_instance,
     select_branch_variable,
     solve,
 )
 from effcut.search import render_trace
+from conftest import INSTANCE_DIR
 from helpers import (
     PivotCounts,
     binary_instance,
     cut_safety_failures,
+    deep_instance,
     quadratics,
     random_instance,
     rational,
@@ -213,6 +216,36 @@ def test_deep_cut_trajectory_is_frozen():
         "3ea5f4652b18c15b616f2077c99d5d8ffa5b1f7952c742ac78a7f4ee722170a2"
     )
     assert pivots == {"primal": 81, "dual": 520, "phase1": 0}
+
+
+# Per instance at seed 11: trace digest and (primal, dual) pivots.  The
+# first instance is instances/deep.txt.
+DEEP_PATHS = (
+    ("1a80ae3148a8ac95db864c4a7d87b18096556b7fc42d3f0ee28cfdf2a079d0c6", 7, 133),
+    ("fc8e1244edf5176f52f82a8bf8eb518dc82bb2fe40896efbd28d61c9930d1f8e", 50, 1067),
+    ("f03d8dcf06fda967f2f5df5e746ad5f7e463898c9948d0fc839ae48640b29e06", 13, 380),
+    ("48da5d14b6681f4c2b34fc75f2b48e97e3b829c810d1e20e1020e07aa63cc065", 1, 3),
+)
+
+
+def test_deep_path_trajectory_is_frozen():
+    # Tableaus of about 100 rows, which no other frozen instance reaches:
+    # the bench workloads peak at 29-42 rows.
+    rng = random.Random(11)
+    for digest, primal, dual in DEEP_PATHS:
+        inst = deep_instance(rng)
+        pivots = PivotCounts()
+        res = solve(inst, observer=pivots)
+        assert hashlib.sha256(render_trace(res.trace).encode()).hexdigest() == digest
+        assert pivots == {"primal": primal, "dual": dual, "phase1": 0}
+        sets = oracle_solve(inst)
+        assert res.complete
+        assert res.x_eff == sets.X_Eff
+        assert cut_safety_failures(inst, res, sets.X_Eff)[1] == []
+
+
+def test_deep_instance_file_is_the_first_deep_instance():
+    assert load_instance(str(INSTANCE_DIR / "deep.txt")) == deep_instance(random.Random(11))
 
 
 # -- budgets ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Fractional simplex: registry, pricing, pivots, warm restarts."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +28,7 @@ from effcut import simplex
 from helpers import (
     RATIONAL_SEED,
     PivotCounts,
+    entry,
     extend_point,
     gamma_numerators,
     integer_row,
@@ -307,7 +309,7 @@ def test_demo_root_dictionary_rows(demo_instance):
 
     def row(var_id):
         i = tab.basis.index(var_id)
-        return {j: F(tab.body[i][j - 1], tab.d) for j in tab.nonbasis()}, F(tab.rhs[i], tab.d)
+        return {j: entry(tab, i, j) for j in tab.nonbasis()}, F(tab.rhs[i], tab.d)
 
     assert row(2) == ({1: F(-1, 2), 3: F(3, 2), 5: F(1, 2)}, 3)
     assert row(4) == ({1: F(3, 2), 3: F(-1, 2), 5: F(-1, 2)}, 0)
@@ -437,7 +439,7 @@ def assert_tableau_is_basis_inverse(tab):
     for k in range(ncols + 1):
         if k < ncols:
             column = [matrix[r][k] for r in range(m)]
-            got = [F(tab.body[i][k], tab.d) for i in range(m)]
+            got = [entry(tab, i, k + 1) for i in range(m)]
         else:
             column = [row.rhs for row in system.rows]
             got = [F(v, tab.d) for v in tab.rhs]
@@ -484,6 +486,72 @@ def test_rational_data_on_the_integer_tableau():
     assert any(outcomes) and not all(outcomes)
     assert {"phase1", "dual", "primal"} <= set(tags)
     assert any(scaled)
+
+
+def assert_sparse_rows(tab):
+    """The row-sparse layout: no stored zero, no id outside the registry,
+    row_of the inverse of basis, and each basic column reading d in its
+    own row and absent from every other."""
+    assert tab.d > 0
+    assert all(v for row in tab.body for v in row.values())
+    assert all(1 <= k <= tab.ncols for row in tab.body for k in row)
+    assert tab.row_of == {b: i for i, b in enumerate(tab.basis)}
+    for i, b in enumerate(tab.basis):
+        assert [k for k, row in enumerate(tab.body) if b in row] == [i]
+        assert tab.body[i][b] == tab.d
+
+
+def pivot_kernel_case(rng):
+    """A seeded integer system with entries in -4..4 and rhs of either sign,
+    a linear objective, and one more row for a warm re-solve."""
+    n = rng.randint(2, 4)
+    system = System(n)
+    for _ in range(rng.randint(2, 5)):
+        coeffs = {j: rng.randint(-4, 4) for j in range(1, n + 1)}
+        system.add_row(Row.make(coeffs, "<=", rng.randint(-6, 12)))
+    obj = linear_objective([rng.randint(-5, 5) for _ in range(n)])
+    ids = rng.sample(range(1, system.registry_size + 1), 2)
+    extra = Row.make({j: rng.randint(-4, 4) for j in ids}, ">=", rng.randint(-3, 6))
+    return system, obj, extra
+
+
+def test_pivot_kernel_matches_the_fraction_reference(monkeypatch):
+    # Every pivot of about 300 seeded systems is checked entry by entry
+    # against B^-1 [A | b] in Fractions, and against the sparse layout;
+    # each branch of the kernel must run.
+    kernel = Tableau.pivot
+    hits = Counter()
+
+    def checked(tab, row, col_id):
+        p, d = abs(tab.body[row][col_id]), tab.d
+        for i, brow in enumerate(tab.body):
+            if i == row:
+                continue
+            if col_id in brow:
+                hits["hit, p == d" if p == d else "hit, p != d"] += 1
+            elif p != d:
+                hits["unhit, rescaled"] += 1
+        kernel(tab, row, col_id)
+        assert_sparse_rows(tab)
+        assert_tableau_is_basis_inverse(tab)
+
+    monkeypatch.setattr(Tableau, "pivot", checked)
+    rng = random.Random(4242)
+    outcomes = Counter()
+    for _ in range(300):
+        system, obj, extra = pivot_kernel_case(rng)
+        try:
+            out = solve_lfp(system, obj)
+            if isinstance(out, Optimal):
+                tab = out.tableau
+                out = add_rows_and_reoptimize(tab, [extra], obj)
+                assert_sparse_rows(tab)
+                assert_tableau_is_basis_inverse(tab)
+        except UnboundedError:
+            out = None
+        outcomes[type(out).__name__] += 1
+    assert set(outcomes) == {"Optimal", "Infeasible", "NoneType"}, outcomes
+    assert set(hits) == {"hit, p == d", "hit, p != d", "unhit, rescaled"}, hits
 
 
 def reference_pricing(tab, obj):
