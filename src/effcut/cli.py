@@ -77,6 +77,8 @@ def parse_result_document(text: str) -> dict:
             current = rest.strip()
             doc["sets"][current] = []
         elif key == "point":
+            if current is None:
+                raise ValueError("point line before any set line")
             doc["sets"][current].append(tuple(int(v) for v in rest.split()))
         elif key == "violation":
             doc.setdefault("violations", []).append(rest.strip())

@@ -215,6 +215,20 @@ class Instance:
         if self.polyhedron.n != self.n:
             raise ValueError("polyhedron dimension disagrees with n")
 
+    @cached_property
+    def lp_minima(self):
+        """minimize_each over the region of -x_1, ..., -x_n, then of each
+        preference denominator q_s'x + beta_s, solved once per instance:
+        Infeasible, or the minima with None for one unbounded below.
+        validate_instance, solve and the coordinate bounds all read it."""
+        from . import simplex  # deferred; simplex imports this module
+
+        objectives = [
+            simplex.linear_objective([-int(i == k) for i in range(self.n)])
+            for k in range(self.n)
+        ] + [simplex.linear_objective(fr.q, fr.beta) for fr in self.fractionals]
+        return simplex.minimize_each(simplex.System.from_polyhedron(self.polyhedron), objectives)
+
 
 # ---------------------------------------------------------------------------
 # Text format
@@ -413,37 +427,40 @@ def load_instance(path: str) -> Instance:
         return parse_instance(fh)
 
 
+def denominator_violations(inst: Instance) -> list[str]:
+    """A violation for each preference denominator whose minimum in
+    inst.lp_minima is not positive; none when the region is empty."""
+    from . import simplex  # deferred; simplex imports this module
+
+    minima = inst.lp_minima
+    if isinstance(minima, simplex.Infeasible):
+        return []
+    return [
+        "denominator nonpositive (objective %d%s)"
+        % (s, " unbounded below" if v is None else ", minimum %s" % v)
+        for s, v in enumerate(minima[inst.n :], 1)
+        if v is None or v <= 0
+    ]
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Check solvability preconditions; returns a list of violations.
 
     Empty list means valid: nonempty bounded region, strictly positive
     fractional denominators over the region, and PSD criterion matrices.
+    The region's answers are inst.lp_minima.
     """
     from . import simplex  # deferred; simplex imports this module
 
-    n = inst.n
-    objectives = [
-        simplex.linear_objective([-int(i == k) for i in range(n)]) for k in range(n)
-    ] + [simplex.linear_objective(frac.q, frac.beta) for frac in inst.fractionals]
-    minima = simplex.minimize_each(
-        simplex.System.from_polyhedron(inst.polyhedron), objectives
-    )
+    minima = inst.lp_minima
     violations: list[str] = []
     if isinstance(minima, simplex.Infeasible):
         violations.append("empty feasible region")
     else:
-        for k, v in enumerate(minima[:n], 1):
+        for k, v in enumerate(minima[: inst.n], 1):
             if v is None:
                 violations.append("unbounded region (x%d has no finite maximum)" % k)
-        for s, v in enumerate(minima[n:], 1):
-            if v is None:
-                violations.append(
-                    "denominator nonpositive (objective %d unbounded below)" % s
-                )
-            elif v <= 0:
-                violations.append(
-                    "denominator nonpositive (objective %d, minimum %s)" % (s, v)
-                )
+    violations += denominator_violations(inst)
     for i, obj in enumerate(inst.quadratics, 1):
         if not obj.is_psd():
             violations.append("Q%d not positive semidefinite" % i)

@@ -24,49 +24,31 @@ class EnumerationCapError(RuntimeError):
     """The bounding box holds more points than the configured cap."""
 
 
-def coordinate_bounds(inst: Instance, root=None) -> tuple[int, ...]:
-    """Per-coordinate integer upper bounds from LP maxima; all -1 when the
-    region is empty, UnboundedError when some coordinate has no maximum.
-
-    The maxima come from a fresh tableau of the instance's rows, or, with
-    root, the Optimal or Infeasible outcome of an LP over exactly those
-    rows, from warm passes on a clone of root's tableau.  Each maximum is
-    one number whatever basis attains it, so both give the same bounds.
-    """
+def coordinate_bounds(inst: Instance) -> tuple[int, ...]:
+    """Per-coordinate integer upper bounds, the floors of the coordinate
+    maxima in inst.lp_minima; all -1 when the region is empty,
+    UnboundedError when some coordinate has no maximum."""
     from . import simplex
 
-    objectives = [
-        simplex.linear_objective([-int(i == k) for i in range(inst.n)])
-        for k in range(inst.n)
-    ]
-    if root is None:
-        minima = simplex.minimize_each(
-            simplex.System.from_polyhedron(inst.polyhedron), objectives
-        )
-    elif isinstance(root, simplex.Infeasible):
-        minima = root
-    else:
-        minima = simplex.minimize_each(root.tableau.clone(), objectives)
+    minima = inst.lp_minima
     if isinstance(minima, simplex.Infeasible):
         return tuple(-1 for _ in range(inst.n))
-    if None in minima:
+    if None in minima[: inst.n]:
         raise simplex.UnboundedError("some coordinate has no finite maximum")
-    return tuple(int(-v) for v in minima)  # floors: each maximum is exact, >= 0
+    return tuple(int(-v) for v in minima[: inst.n])  # floors: each maximum is exact, >= 0
 
 
-def enumerate_feasible(
-    inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP, root=None
-) -> list[IntPoint]:
+def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list[IntPoint]:
     """All integer points of {x >= 0 : Ax <= b}, in lexicographic order.
 
-    The box of coordinate_bounds (given root, if any) holds them all, and
-    enum_cap caps its volume.  For each prefix of the first n - 1
-    coordinates in the box, row i leaves a_in v <= s_i = b_i - a_i'prefix
-    on the last coordinate v; together with 0 <= v <= u_n the rows cut v
-    to one integer interval [lo, hi], floors and ceilings taken in ints,
-    and each v in it closes a point of D.
+    The box of coordinate_bounds holds them all, and enum_cap caps its
+    volume.  For each prefix of the first n - 1 coordinates in the box,
+    row i leaves a_in v <= s_i = b_i - a_i'prefix on the last coordinate
+    v; together with 0 <= v <= u_n the rows cut v to one integer interval
+    [lo, hi], floors and ceilings taken in ints, and each v in it closes
+    a point of D.
     """
-    bounds = coordinate_bounds(inst, root)
+    bounds = coordinate_bounds(inst)
     if any(u < 0 for u in bounds):
         return []
     volume = 1

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .cuts import build_cut_report
 from .efficiency import PointTable, test_boilfp_efficiency, test_moiqp_efficiency
-from .instance import Instance
+from .instance import Instance, denominator_violations
 from .oracle import DEFAULT_ENUM_CAP, IntPoint, enumerate_feasible
 from .simplex import (
     Infeasible,
@@ -124,18 +124,22 @@ def solve(
     (some cut set empty) or push the cut successor.  The budget caps node
     pops; exhaustion clears the complete flag.  A criterion matrix that
     is not positive semidefinite raises ValueError, since the cuts are
-    safe only for convex criteria.  The root relaxation is solved first:
-    warm passes on a clone of its tableau give the coordinate bounds of
-    the box that enumerate_feasible scans for D.
+    safe only for convex criteria.  D comes first, so an unbounded region
+    raises UnboundedError; then, as in validate_instance, a nonpositive
+    preference denominator raises ValueError before any relaxation.
     """
     if branching_rule not in BRANCHING_RULES:
         raise ValueError("unknown branching rule %r" % branching_rule)
     for i, quad in enumerate(inst.quadratics, 1):
         if not quad.is_psd():
             raise ValueError("Q%d not positive semidefinite" % i)
+    D = enumerate_feasible(inst, enum_cap)
+    bad = denominator_violations(inst)
+    if bad:
+        raise ValueError("; ".join(bad))
     objective = inst.fractionals[0]
     root = solve_lfp(System.from_polyhedron(inst.polyhedron), objective, observer)
-    table = PointTable(inst, enumerate_feasible(inst, enum_cap, root))
+    table = PointTable(inst, D)
     trace: list[dict] = []
     nodes: list[Node] = [Node(0, None, ())]
     stack = [(nodes[0], None, ())]  # (node, parent tableau, pending rows)

@@ -457,25 +457,19 @@ def solve_lfp(
 
 
 def minimize_each(
-    start: System | Tableau, objectives: Iterable[FractionalObjective]
+    system: System, objectives: Iterable[FractionalObjective]
 ) -> list[Fraction | None] | Infeasible:
     """Minimum values of several objectives over one system, on one tableau.
 
-    start is the system, whose fresh tableau the zero-objective dual pass
-    makes feasible once, or a feasible tableau of it, such as an optimum's
-    clone, which the passes pivot in place.  Each primal pass starts
-    from the basis where the previous one stopped.  That basis stays
-    feasible: it is an optimum, or the basis at which _primal found an
-    unbounded column, before any pivot on it.  An objective unbounded
-    below reads None, and each optimum is checked as solve_lfp checks
-    its own.
+    One zero-objective dual pass makes the fresh tableau feasible; each
+    primal pass starts where the last one stopped, a basis that stays
+    feasible (an optimum, or where _primal found an unbounded column,
+    before any pivot on it).  An objective unbounded below reads None;
+    each optimum is checked as solve_lfp checks its own.
     """
-    if isinstance(start, Tableau):
-        tab = start
-    else:
-        tab = Tableau(start)
-        if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
-            return Infeasible()
+    tab = Tableau(system)
+    if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
+        return Infeasible()
     minima: list[Fraction | None] = []
     for obj in objectives:
         try:

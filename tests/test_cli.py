@@ -208,6 +208,12 @@ def test_check_and_validate_document_roundtrips():
     assert doc["violations"] == ["empty feasible region"]
 
 
+@pytest.mark.parametrize("text", ["point 1 2\n", "set x_eff\npoint 1 a\n", "nodes many\n"])
+def test_malformed_document_raises_value_error(text):
+    with pytest.raises(ValueError):
+        parse_result_document(text)
+
+
 def test_documents_survive_reserialization(demo_path, capsys):
     main(["--instance", demo_path, "--mode", "oracle"])
     text = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Instance model: parsing, rendering, evaluation, validation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,11 +12,17 @@ from effcut import (
     InstanceFormatError,
     Polyhedron,
     QuadraticObjective,
+    coordinate_bounds,
+    load_instance,
+    oracle_solve,
     parse_instance,
     render_instance,
+    simplex,
+    solve,
     validate_instance,
 )
 from helpers import (
+    binary_instance,
     is_psd_reference,
     quadratics,
     random_instance,
@@ -414,6 +421,42 @@ def test_validate_equals_one_cold_solve_per_question():
         for kind, hit in kinds.items():
             seen[kind] = seen.get(kind, 0) + hit
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("which", ["demo", "binary"])
+def test_one_minimize_each_call_per_instance(which, demo_path, monkeypatch):
+    # Validation, the solver and the oracle all read inst.lp_minima.
+    calls = []
+    original = simplex.minimize_each
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simplex, "minimize_each", counting)
+    if which == "demo":
+        inst = load_instance(demo_path)
+    else:
+        inst = binary_instance(random.Random(3))
+    assert validate_instance(inst) == []
+    solve(inst)
+    oracle_solve(inst)
+    assert len(calls) == 1
+
+
+def test_replaced_polyhedron_computes_its_own_minima(demo_path):
+    inst = load_instance(demo_path)
+    assert validate_instance(inst) == []
+    empty = dataclasses.replace(
+        inst, polyhedron=Polyhedron(inst.polyhedron.A, (-1, -1))
+    )
+    assert isinstance(empty.lp_minima, simplex.Infeasible)
+    assert validate_instance(empty) == ["empty feasible region"]
+    smaller = dataclasses.replace(inst, polyhedron=Polyhedron(inst.polyhedron.A, (1, 2)))
+    assert smaller.lp_minima != inst.lp_minima
+    assert validate_instance(smaller) == validate_cold(smaller)
+    assert coordinate_bounds(smaller) == (1, 1, 0)
+    assert coordinate_bounds(inst) == (3, 3, 2)
 
 
 def test_validate_flags_empty_region():

@@ -15,17 +15,14 @@ from effcut import (
     FractionalObjective,
     Infeasible,
     Instance,
-    Optimal,
     Polyhedron,
     QuadraticObjective,
     System,
-    UnboundedError,
     coordinate_bounds,
     enumerate_feasible,
     linear_objective,
     oracle_solve,
     pareto_filter,
-    parse_instance,
     solve,
     solve_lfp,
 )
@@ -37,7 +34,6 @@ from helpers import (
     rational_preferences,
     three_point_line,
 )
-from test_cli import EMPTY_REGION
 
 F = Fraction
 
@@ -112,48 +108,6 @@ def test_warm_coordinate_bounds_equal_cold_maxima(corpus):
     single = region(((1, 0), (-1, 0), (0, 1), (0, -1)), (2, -2, 1, -1))
     assert coordinate_bounds(single) == cold_bounds(single) == (2, 1)
     assert enumerate_feasible(single) == [(2, 1)]
-
-
-def root_bounds(inst):
-    """The solver's bounds: warm passes on a clone of the root relaxation's
-    tableau."""
-    root = solve_lfp(System.from_polyhedron(inst.polyhedron), inst.fractionals[0])
-    return coordinate_bounds(inst, root), root
-
-
-def test_root_tableau_bounds_equal_the_fresh_tableau_bounds(corpus):
-    rng = random.Random(67)
-    cases = list(corpus)
-    for _ in range(100):
-        cases += [random_instance(rng), binary_instance(rng), scan_region(rng)]
-    empty = 0
-    for inst in cases:
-        bounds, root = root_bounds(inst)
-        assert bounds == coordinate_bounds(inst)
-        empty += isinstance(root, Infeasible)
-    assert 0 < empty < len(cases)
-
-
-def test_root_tableau_bounds_on_an_empty_region():
-    inst = parse_instance(EMPTY_REGION)
-    bounds, root = root_bounds(inst)
-    assert isinstance(root, Infeasible)
-    assert bounds == (-1,) * inst.n
-    assert enumerate_feasible(inst, root=root) == []
-    res = solve(inst)
-    assert [(ev["node"], ev["action"]) for ev in res.trace] == [(0, "infeasible")]
-
-
-def test_root_tableau_bounds_on_an_unbounded_coordinate():
-    # x1 <= x2 leaves both coordinates unbounded, while the constant
-    # preferences have a root optimum.
-    inst = region(((1, -1),), (0,))
-    root = solve_lfp(System.from_polyhedron(inst.polyhedron), inst.fractionals[0])
-    assert isinstance(root, Optimal)
-    with pytest.raises(UnboundedError):
-        coordinate_bounds(inst, root)
-    with pytest.raises(UnboundedError):
-        solve(inst)
 
 
 def test_solve_stops_at_the_enumeration_cap(demo_instance):

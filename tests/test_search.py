@@ -23,8 +23,10 @@ from effcut import (
     load_instance,
     oracle_solve,
     parse_instance,
+    render_instance,
     select_branch_variable,
     solve,
+    validate_instance,
 )
 from effcut.search import render_trace
 from conftest import INSTANCE_DIR
@@ -354,6 +356,56 @@ def test_unbounded_region_raises():
     )
     with pytest.raises(UnboundedError):
         solve(inst)
+
+
+# psi_2's denominator -x1 - x2 + 5/4 falls to -1/4 on the edge x1 + x2 = 3/2,
+# though it is positive at the integer points (0, 0), (1, 0) and (0, 1).
+NEGATIVE_DENOMINATOR = """\
+n 2
+r 2
+Q
+1 0
+0 1
+Q
+2 1
+1 2
+c -3 -1
+c -1 -4
+fractional
+p 1 -2
+q 1 1
+alpha 0
+beta 1
+fractional
+p -3 1
+q -1 -1
+alpha 2
+beta 5/4
+A
+2 2
+b 3
+"""
+
+
+def test_nonpositive_denominator_rejected():
+    inst = parse_instance(NEGATIVE_DENOMINATOR)
+    message = "denominator nonpositive (objective 2, minimum -1/4)"
+    assert validate_instance(inst) == [message]
+    with pytest.raises(ValueError) as exc:
+        solve(parse_instance(NEGATIVE_DENOMINATOR))
+    assert str(exc.value) == message
+
+
+def test_unvalidated_solve_equals_the_validated_solve(corpus):
+    # A fresh instance solves its region LPs inside solve, a validated one
+    # reads those validation cached: the same trajectory either way.
+    for inst in corpus:
+        text = render_instance(inst)
+        fresh, validated = parse_instance(text), parse_instance(text)
+        assert validate_instance(validated) == []
+        a, b = solve(fresh), solve(validated)
+        assert render_trace(a.trace) == render_trace(b.trace)
+        assert a.x_eff == b.x_eff
 
 
 def test_indefinite_criterion_rejected():
