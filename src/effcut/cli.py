@@ -127,12 +127,7 @@ def _run_mode(inst, args: argparse.Namespace) -> int:
         _emit(render_oracle_result(sets), args.output)
         return EXIT_OK
 
-    result = search.solve(
-        inst,
-        branching_rule=args.branching,
-        node_budget=args.node_budget,
-        enum_cap=args.enum_cap,
-    )
+    result = search.solve(inst, node_budget=args.node_budget, enum_cap=args.enum_cap)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(search.render_trace(result.trace))
@@ -161,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("validate", "solve", "oracle", "check"),
         default="solve",
-    )
-    parser.add_argument(
-        "--branching",
-        choices=search.BRANCHING_RULES,
-        default="first-fractional",
-        dest="branching",
     )
     parser.add_argument("--node-budget", type=int, default=search.DEFAULT_NODE_BUDGET)
     parser.add_argument("--enum-cap", type=int, default=oracle.DEFAULT_ENUM_CAP)

@@ -13,7 +13,7 @@ from itertools import compress, product
 from operator import le, mul
 from typing import Callable, Sequence
 
-from .instance import Instance, _integral
+from .instance import Instance, _integral, denominator_violations
 
 DEFAULT_ENUM_CAP = 10**7
 
@@ -139,8 +139,13 @@ class ParetoSets:
 def oracle_solve(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> ParetoSets:
     """Reference efficiency sets over all of D: a sort-then-scan maxima
     filter over integer criteria, the doubled quadratics in ints and each
-    preference as one exact Fraction of two ints."""
+    preference as one exact Fraction of two ints.  As in solve, D comes
+    first, so an unbounded region raises UnboundedError; then a
+    nonpositive preference denominator raises ValueError."""
     D = enumerate_feasible(inst, enum_cap)
+    bad = denominator_violations(inst)
+    if bad:
+        raise ValueError("; ".join(bad))
     X_Q = pareto_filter(D, _quadratic_criteria(inst))
     X_F = pareto_filter(D, _preference_criteria(inst))
     in_f = set(X_F)

@@ -3,10 +3,13 @@
 Each node owns the root polyhedron plus the branch bounds and cuts on its
 path.  A node's relaxation is warm-started from its parent's optimal
 tableau: pending rows are appended, dual pivots restore feasibility,
-primal pivots restore the optimality certificate.  Integer optima are
-screened by the two efficiency tests and recorded on a double pass; the
-cut pair (or the single row, when both index sets coincide) then excludes
-the point and the search continues until every node is fathomed.
+primal pivots restore the optimality certificate.  The stack is LIFO, so
+the low child of a branch, popped first, gets a copy of that tableau;
+the high child and a cut's only child, its last readers, re-solve it in
+place.  Integer optima are screened by the two efficiency tests and
+recorded on a double pass; the cut pair (or the single row, when both
+index sets coincide) then excludes the point and the search continues
+until every node is fathomed.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .simplex import (
 )
 
 DEFAULT_NODE_BUDGET = 10_000
-
-BRANCHING_RULES = ("first-fractional", "most-fractional")
 
 
 @dataclass
@@ -80,21 +81,13 @@ def render_trace(trace: Sequence[dict]) -> str:
     return "".join(json.dumps(ev, separators=(",", ":")) + "\n" for ev in trace)
 
 
-def select_branch_variable(x_star: Sequence[Fraction], rule: str = "first-fractional") -> int:
-    """1-based index of the coordinate to branch on."""
-    fractional = [
-        (i, Fraction(v)) for i, v in enumerate(x_star, 1) if Fraction(v).denominator != 1
-    ]
-    if not fractional:
-        raise ValueError("all coordinates are integer")
-    if rule == "most-fractional":
-        def fpart(v: Fraction) -> Fraction:
-            return v - (v.numerator // v.denominator)
-
-        return max(fractional, key=lambda iv: (fpart(iv[1]), -iv[0]))[0]
-    if rule != "first-fractional":
-        raise ValueError("unknown branching rule %r" % rule)
-    return fractional[0][0]
+def select_branch_variable(x_star: Sequence[Fraction]) -> int:
+    """1-based index of the first fractional coordinate, the one to branch
+    on; ValueError when every coordinate is integer."""
+    for i, v in enumerate(x_star, 1):
+        if Fraction(v).denominator != 1:
+            return i
+    raise ValueError("all coordinates are integer")
 
 
 def branch(node: Node, k: int, v: Fraction, next_id: int) -> tuple[Node, Node]:
@@ -111,7 +104,6 @@ def branch(node: Node, k: int, v: Fraction, next_id: int) -> tuple[Node, Node]:
 def solve(
     inst: Instance,
     *,
-    branching_rule: str = "first-fractional",
     node_budget: int = DEFAULT_NODE_BUDGET,
     enum_cap: int = DEFAULT_ENUM_CAP,
     observer: Observer | None = None,
@@ -119,17 +111,17 @@ def solve(
     """Collect every doubly-efficient integer point of the instance.
 
     Per node: solve the fractional relaxation; fathom on infeasibility;
-    branch on a fractional coordinate; at an integer optimum run T1, then
-    T2 on a pass, record on a double pass, and afterwards either fathom
-    (some cut set empty) or push the cut successor.  The budget caps node
+    branch on the first fractional coordinate, the low child warm-started
+    from a copy of the node's tableau and the high child from the tableau
+    itself; at an integer optimum run T1, then T2 on a pass, record on a
+    double pass, and afterwards either fathom (some cut set empty) or push
+    the cut successor, which takes the tableau as is.  The budget caps node
     pops; exhaustion clears the complete flag.  A criterion matrix that
     is not positive semidefinite raises ValueError, since the cuts are
     safe only for convex criteria.  D comes first, so an unbounded region
     raises UnboundedError; then, as in validate_instance, a nonpositive
     preference denominator raises ValueError before any relaxation.
     """
-    if branching_rule not in BRANCHING_RULES:
-        raise ValueError("unknown branching rule %r" % branching_rule)
     for i, quad in enumerate(inst.quadratics, 1):
         if not quad.is_psd():
             raise ValueError("Q%d not positive semidefinite" % i)
@@ -142,7 +134,7 @@ def solve(
     table = PointTable(inst, D)
     trace: list[dict] = []
     nodes: list[Node] = [Node(0, None, ())]
-    stack = [(nodes[0], None, ())]  # (node, parent tableau, pending rows)
+    stack = [(nodes[0], None, ())]  # (node, tableau it owns, pending rows)
     found: list[IntPoint] = []
     node_count = cut_count = t1_runs = t2_runs = 0
     pops = 0
@@ -157,9 +149,7 @@ def solve(
         if parent_tab is None:
             outcome = root
         else:
-            outcome = add_rows_and_reoptimize(
-                parent_tab.clone(), pending, objective, observer
-            )
+            outcome = add_rows_and_reoptimize(parent_tab, pending, objective, observer)
         if isinstance(outcome, Infeasible):
             node.status = "fathomed_infeasible"
             trace.append(_event(node.id, node.parent, "infeasible"))
@@ -169,14 +159,14 @@ def solve(
         trace.append(_event(node.id, node.parent, "lfp_solved", point=x, value=outcome.value))
 
         if any(v.denominator != 1 for v in x):
-            k = select_branch_variable(x, branching_rule)
+            k = select_branch_variable(x)
             low, high = branch(node, k, x[k - 1], len(nodes))
             nodes.extend((low, high))
             node.status = "branched"
             trace.append(_event(node.id, node.parent, "branched", point=x, value=outcome.value))
             suffix = len(node.extra_rows)
             stack.append((high, outcome.tableau, high.extra_rows[suffix:]))
-            stack.append((low, outcome.tableau, low.extra_rows[suffix:]))
+            stack.append((low, outcome.tableau.clone(), low.extra_rows[suffix:]))
             continue
 
         xi = tuple(int(v) for v in x)

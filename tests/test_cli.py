@@ -165,13 +165,6 @@ def test_trace_file_matches_library_trace(demo_path, demo_instance, tmp_path):
     assert trace_path.read_text() == render_trace(solve(demo_instance).trace)
 
 
-def test_branching_flag_is_honored(demo_path, capsys):
-    code = main(["--instance", demo_path, "--branching", "most-fractional"])
-    assert code == EXIT_OK
-    doc = parse_result_document(capsys.readouterr().out)
-    assert doc["sets"]["x_eff"] == DEMO_X_EFF
-
-
 # -- document round-trips -------------------------------------------------
 
 

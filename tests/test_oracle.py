@@ -326,5 +326,6 @@ def test_oracle_sets_equal_the_fraction_path_with_rational_preferences(corpus, d
 
 def test_zero_preference_denominator_on_D_raises():
     # q x + beta = 2 - x is zero at x = 2, a point of D = {0, 1, 2}.
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError) as exc:
         oracle_solve(three_point_line(-1, 2))
+    assert str(exc.value) == "denominator nonpositive (objective 2, minimum 0)"

@@ -1,4 +1,4 @@
-"""Branch-and-cut driver: tree shape, trace, budgets, branching rules."""
+"""Branch-and-cut driver: tree shape, trace, budgets, branching, tableau copies."""
 
 import dataclasses
 import hashlib
@@ -28,6 +28,7 @@ from effcut import (
     solve,
     validate_instance,
 )
+from effcut import simplex
 from effcut.search import render_trace
 from conftest import INSTANCE_DIR
 from helpers import (
@@ -280,13 +281,8 @@ def test_select_branch_variable_rules():
     x = (F(0), F(5, 2), F(0))
     assert select_branch_variable(x) == 2
     assert select_branch_variable((F(1, 2), F(3, 4))) == 1
-    assert select_branch_variable((F(1, 2), F(3, 4)), "most-fractional") == 2
-    # Equal fractional parts fall back to the smallest index.
-    assert select_branch_variable((F(1, 2), F(5, 2)), "most-fractional") == 1
     with pytest.raises(ValueError):
         select_branch_variable((F(1), F(2)))
-    with pytest.raises(ValueError):
-        select_branch_variable((F(1, 2),), "steepest")
 
 
 def test_branch_builds_floor_and_ceiling_children():
@@ -300,15 +296,22 @@ def test_branch_builds_floor_and_ceiling_children():
         branch(parent, 2, F(3), 7)
 
 
-def test_most_fractional_rule_reaches_the_same_set(demo_instance):
-    res = solve(demo_instance, branching_rule="most-fractional")
-    assert res.complete
-    assert res.x_eff == DEMO_X_EFF
+@pytest.mark.parametrize("name", ["demo.txt", "deep.txt"])
+def test_one_tableau_copy_per_branch(name, monkeypatch):
+    # The low child, popped first, gets the only copy of its parent's
+    # tableau; the high child and a cut successor re-solve it in place.
+    copies = []
+    clone = simplex.Tableau.clone
 
+    def counting_clone(tab):
+        copies.append(tab)
+        return clone(tab)
 
-def test_unknown_branching_rule_rejected(demo_instance):
-    with pytest.raises(ValueError):
-        solve(demo_instance, branching_rule="steepest")
+    monkeypatch.setattr(simplex.Tableau, "clone", counting_clone)
+    res = solve(load_instance(str(INSTANCE_DIR / name)))
+    branched = sum(ev["action"] == "branched" for ev in res.trace)
+    assert branched > 0
+    assert len(copies) == branched
 
 
 # -- degenerate regions -------------------------------------------------------
@@ -393,6 +396,9 @@ def test_nonpositive_denominator_rejected():
     assert validate_instance(inst) == [message]
     with pytest.raises(ValueError) as exc:
         solve(parse_instance(NEGATIVE_DENOMINATOR))
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        oracle_solve(parse_instance(NEGATIVE_DENOMINATOR))
     assert str(exc.value) == message
 
 
