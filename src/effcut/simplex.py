@@ -7,10 +7,11 @@ columns with the fractional reduced cost
     gamma_j = Q(x*) * eta_j - P(x*) * theta_j,
 
 where eta/theta are the classic reduced costs of numerator and denominator;
-gamma >= 0 over all nonbasic columns certifies a minimum.  Constraint rows
-live in a registry: original variables get ids 1..n, each row contributes a
-slack with the next free id, and rows added later may reference earlier
-slacks.  Rows are integer, so every registry variable, each slack
+gamma >= 0 over all nonbasic columns certifies a minimum.  Variables live
+in a registry: original variables get ids 1..n and each row's slack takes
+the next free id.  A row given over the registry, such as a cut naming
+earlier slacks, is stored over x_1..x_n alone, each slack replaced by its
+own row.  Rows are integer, so every registry variable, each slack
 included, is an integer at every integer point: the efficiency cuts rest
 on it.  The tableau holds Python ints over one positive common
 denominator, each row only its nonzeros, and pivots fraction-free
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .instance import FractionalObjective, Polyhedron, _integral, _integers
+from .instance import FractionalObjective, Polyhedron, _integral
 
 # Pivot-count guards. The stall limit flips tie-breaking to Bland's rule
 # inside a run of degenerate pivots; the hard cap aborts the loop outright.
@@ -85,12 +86,8 @@ class Row:
 
 @dataclass
 class System:
-    """A growing stack of '<=' rows over the variable registry.
-
-    Row k (0-based) owns slack id n + k + 1.  Rows reference only variables
-    that exist when they are added, so slack values are computable in row
-    order from the original coordinates alone.
-    """
+    """A growing stack of '<=' rows, each stored over x_1..x_n alone; row k
+    (0-based) owns slack id n + k + 1, which later rows may name."""
 
     n: int
     rows: list[Row] = field(default_factory=list)
@@ -107,41 +104,43 @@ class System:
         return self.n + len(self.rows)
 
     def add_row(self, row: Row) -> int:
-        """Append a row (normalizing '>=' to '<='); returns its slack id."""
+        """Append a row, normalized to '<=', and return its slack id.  Each
+        slack s_k it names is replaced by b_k - a_k'x, stored row k: the
+        stored row is integer and cuts out the same half-space."""
         row = row.normalized()
-        limit = self.registry_size
-        for j, _ in row.coeffs:
-            if j > limit:
-                raise ValueError("row references unknown variable x%d" % j)
+        n, top = self.n, max(row.coeffs, default=(0, 0))[0]
+        if top > self.registry_size:
+            raise ValueError("row references unknown variable x%d" % top)
+        if top > n:
+            acc, rhs = [0] * (n + 1), row.rhs
+            for j, a in row.coeffs:
+                if j > n:
+                    slack_row = self.rows[j - n - 1]
+                    rhs -= a * slack_row.rhs
+                    for i, c in slack_row.coeffs:
+                        acc[i] -= a * c
+                else:
+                    acc[j] += a
+            row = Row(tuple((j, v) for j, v in enumerate(acc) if v), "<=", rhs)
         self.rows.append(row)
         return self.registry_size
 
     def copy(self) -> "System":
         return System(self.n, list(self.rows))
 
-    def satisfied_by(self, x: Sequence, den: int | None = None) -> bool:
-        """Whether a point and every slack it leaves are nonnegative.
-
-        x is the rational point itself, or with den the integer numerators
-        of the point over the positive den.  Runs in ints: the registry
-        values are numerators over one denominator (the least common one
-        of a rational x), and integer rows keep every slack over it.
-        """
+    def satisfied_by(self, x: Sequence[int], den: int = 1) -> bool:
+        """Whether the point with integer numerators x over the positive den
+        is nonnegative and meets every row, in one pass of a'x <= b den."""
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
-        if den is None:
-            vals, den = _integers(x)
-        else:
-            vals = list(x)
-        if any(v < 0 for v in vals):
+        if any(v < 0 for v in x):
             return False
         for row in self.rows:
             slack = row.rhs * den
             for j, a in row.coeffs:
-                slack -= a * vals[j - 1]
+                slack -= a * x[j - 1]
             if slack < 0:
                 return False
-            vals.append(slack)
         return True
 
 
@@ -207,10 +206,11 @@ class Tableau:
     def append_row(self, row: Row) -> int:
         """Add one constraint below an existing basis; returns the slack id.
 
-        The row sum_j a_j x_j + s = rhs is the reduced row of the linear form
-        a'x - rhs with the slack s as its basic variable: basic columns read
-        zero, and the new rhs is minus the form's vertex value, possibly
-        negative.  No other row changes.
+        The row sum_j a_j x_j + s = rhs, as the system stores it over
+        x_1..x_n, is the reduced row of the linear form a'x - rhs with the
+        slack s as its basic variable: basic columns read zero, and the new
+        rhs is minus the form's vertex value, possibly negative.  No other
+        row changes.
         """
         slack = self.system.add_row(row)
         stored = self.system.rows[-1]

@@ -309,13 +309,14 @@ def vertex_minimum(poly: Polyhedron, objective: FractionalObjective):
 # -- Fraction references for the integer simplex paths ----------------------
 
 
-def extend_point(system, x):
+def extend_point(system, x, rows=None):
     """Registry-wide vector of a point: originals, then each slack in row
-    order, in Fractions."""
+    order, in Fractions.  rows, '<=' rows over the registry that may name
+    earlier slacks, default to the system's own."""
     vals = [F(v) for v in x]
     if len(vals) != system.n:
         raise ValueError("point has wrong dimension")
-    for row in system.rows:
+    for row in system.rows if rows is None else rows:
         vals.append(row.rhs - sum(v * vals[j - 1] for j, v in row.coeffs))
     return tuple(vals)
 

@@ -115,6 +115,21 @@ def test_registry_numbering(demo_instance):
     assert system.registry_size == 6
 
 
+def test_add_row_stores_rows_over_the_originals(demo_instance):
+    # Rows 4 and 5: x1 + x2 + x3 <= 3 and -x1 + 2x2 + 3x3 <= 6.
+    system = System.from_polyhedron(demo_instance.polyhedron)
+    # -x3 - s5 <= -1 with s5 = 6 + x1 - 2x2 - 3x3.
+    system.add_row(Row.make({3: 1, 5: 1}, ">=", 1))
+    assert system.rows[-1] == Row(((1, -1), (2, 2), (3, 2)), "<=", 5)
+    # -x1 - s6 <= -1 with s6 = 5 + x1 - 2x2 - 2x3, through row 6 to row 5.
+    system.add_row(Row.make({1: 1, 6: 1}, ">=", 1))
+    assert system.rows[-1] == Row(((1, -2), (2, 2), (3, 2)), "<=", 4)
+    row = Row.make({2: 1, 3: -2}, ">=", 1)
+    system.add_row(row)
+    assert system.rows[-1] == row.normalized()
+    assert all(j <= system.n for row in system.rows for j, _ in row.coeffs)
+
+
 def test_add_row_rejects_unknown_variable(demo_instance):
     system = System.from_polyhedron(demo_instance.polyhedron)
     with pytest.raises(ValueError):
@@ -135,12 +150,13 @@ def test_satisfied_by_matches_the_fraction_reference():
     # Rational rows cleared to integers in both senses, over registry ids
     # that include earlier slacks, tested at rational points; about a
     # third of the rows are made tight at the integer point z, so some
-    # slacks are exactly zero.
+    # slacks are exactly zero.  The reference walks the slack chain over
+    # the rows as drawn, kept apart from the system's stored form.
     rng = random.Random(47)
     seen = {"verdicts": set(), "slack refs": 0, "tight and satisfied": 0}
     for _ in range(200):
         n = rng.randint(1, 3)
-        system = System(n)
+        system, drawn = System(n), []
         x = tuple(rational(rng, 0, 4) for _ in range(n))
         z = tuple(range(n))
         tight = False
@@ -150,19 +166,20 @@ def test_satisfied_by_matches_the_fraction_reference():
             coeffs = [rational(rng, -4, 4) for _ in ids]
             seen["slack refs"] += max(ids) > n
             if rng.random() < 0.3:
-                ext = extend_point(system, z)
+                ext = extend_point(system, z, drawn)
                 rhs = sum(v * ext[j - 1] for j, v in zip(ids, coeffs))
                 tight = True
             else:
                 rhs = rational(rng, -6, 10)
             a, c = integer_row(coeffs, rhs)
-            system.add_row(Row.make(dict(zip(ids, a)), rng.choice(("<=", ">=")), c))
+            row = Row.make(dict(zip(ids, a)), rng.choice(("<=", ">=")), c)
+            drawn.append(row.normalized())
+            system.add_row(row)
         points = [x, tuple(v + rational(rng, -2, 2) for v in x), z]
         for y in points:
-            want = all(v >= 0 for v in extend_point(system, y))
-            assert system.satisfied_by(y) == want
-            # The same point as integer numerators over a common
-            # denominator, the least one and a multiple of it.
+            want = all(v >= 0 for v in extend_point(system, y, drawn))
+            # The point as integer numerators over a common denominator,
+            # the least one and a multiple of it.
             den = lcm(*(F(v).denominator for v in y))
             nums = [int(v * den) for v in y]
             assert system.satisfied_by(nums, den) == want
@@ -170,9 +187,9 @@ def test_satisfied_by_matches_the_fraction_reference():
             seen["verdicts"].add(want)
         seen["tight and satisfied"] += tight and system.satisfied_by(z)
         with pytest.raises(ValueError):
-            system.satisfied_by(x + (F(0),))
+            system.satisfied_by(z + (0,))
         with pytest.raises(ValueError):
-            system.satisfied_by(x[:-1])
+            system.satisfied_by(z[:-1])
     assert seen["verdicts"] == {True, False}
     assert seen["slack refs"] and seen["tight and satisfied"]
 
@@ -394,7 +411,8 @@ def test_optimum_certificate_on_random_instances():
             tab = out.tableau
             assert all(g >= 0 for g in price(tab, obj)[2].values())
             assert all(v >= 0 for v in tab.rhs)
-            assert tab.system.satisfied_by(out.point)
+            den = lcm(*(v.denominator for v in out.point))
+            assert tab.system.satisfied_by([int(v * den) for v in out.point], den)
             assert obj.value(out.point) == out.value
 
 
@@ -424,14 +442,17 @@ def test_observer_sees_monotone_primal_and_consistent_points(demo_instance):
     assert seen[-1] == out.value
 
 
-def assert_tableau_is_basis_inverse(tab):
-    """Each body/d and rhs/d equals B^-1 [A | b] of the tableau's own system,
-    solved afresh by Gaussian elimination."""
+def assert_tableau_is_basis_inverse(tab, rows=None):
+    """Each body/d and rhs/d equals B^-1 [A | I | b], solved afresh by
+    Gaussian elimination.  [A | I | b] is built from rows, '<=' rows over
+    the registry that may name earlier slacks, by default the tableau's
+    own system's."""
     assert tab.d > 0
     system = tab.system
-    m, ncols = len(system.rows), system.registry_size
+    rows = system.rows if rows is None else rows
+    m, ncols = len(rows), system.n + len(rows)
     matrix = [[F(0)] * ncols for _ in range(m)]
-    for k, row in enumerate(system.rows):
+    for k, row in enumerate(rows):
         for j, v in row.coeffs:
             matrix[k][j - 1] = v
         matrix[k][system.n + k] = F(1)  # row k's slack has id n + k + 1
@@ -441,7 +462,7 @@ def assert_tableau_is_basis_inverse(tab):
             column = [matrix[r][k] for r in range(m)]
             got = [entry(tab, i, k + 1) for i in range(m)]
         else:
-            column = [row.rhs for row in system.rows]
+            column = [row.rhs for row in rows]
             got = [F(v, tab.d) for v in tab.rhs]
         assert list(solve_exact(basis, column)) == got
 
@@ -503,24 +524,29 @@ def assert_sparse_rows(tab):
 
 def pivot_kernel_case(rng):
     """A seeded integer system with entries in -4..4 and rhs of either sign,
-    a linear objective, and one more row for a warm re-solve."""
+    a linear objective, one more row for a warm re-solve, which may name
+    slacks, and every row as drawn in '<=' form."""
     n = rng.randint(2, 4)
-    system = System(n)
+    drawn = []
     for _ in range(rng.randint(2, 5)):
         coeffs = {j: rng.randint(-4, 4) for j in range(1, n + 1)}
-        system.add_row(Row.make(coeffs, "<=", rng.randint(-6, 12)))
+        drawn.append(Row.make(coeffs, "<=", rng.randint(-6, 12)))
     obj = linear_objective([rng.randint(-5, 5) for _ in range(n)])
-    ids = rng.sample(range(1, system.registry_size + 1), 2)
+    ids = rng.sample(range(1, n + len(drawn) + 1), 2)
     extra = Row.make({j: rng.randint(-4, 4) for j in ids}, ">=", rng.randint(-3, 6))
-    return system, obj, extra
+    system = System(n)
+    for row in drawn:
+        system.add_row(row)
+    return system, obj, extra, drawn + [extra.normalized()]
 
 
 def test_pivot_kernel_matches_the_fraction_reference(monkeypatch):
     # Every pivot of about 300 seeded systems is checked entry by entry
-    # against B^-1 [A | b] in Fractions, and against the sparse layout;
-    # each branch of the kernel must run.
+    # against B^-1 [A | I | b] in Fractions, built from the rows as drawn,
+    # and against the sparse layout; each branch of the kernel must run.
     kernel = Tableau.pivot
     hits = Counter()
+    drawn = []
 
     def checked(tab, row, col_id):
         p, d = abs(tab.body[row][col_id]), tab.d
@@ -533,20 +559,21 @@ def test_pivot_kernel_matches_the_fraction_reference(monkeypatch):
                 hits["unhit, rescaled"] += 1
         kernel(tab, row, col_id)
         assert_sparse_rows(tab)
-        assert_tableau_is_basis_inverse(tab)
+        assert_tableau_is_basis_inverse(tab, drawn[: len(tab.basis)])
 
     monkeypatch.setattr(Tableau, "pivot", checked)
     rng = random.Random(4242)
     outcomes = Counter()
     for _ in range(300):
-        system, obj, extra = pivot_kernel_case(rng)
+        system, obj, extra, rows = pivot_kernel_case(rng)
+        drawn[:] = rows
         try:
             out = solve_lfp(system, obj)
             if isinstance(out, Optimal):
                 tab = out.tableau
                 out = add_rows_and_reoptimize(tab, [extra], obj)
                 assert_sparse_rows(tab)
-                assert_tableau_is_basis_inverse(tab)
+                assert_tableau_is_basis_inverse(tab, drawn)
         except UnboundedError:
             out = None
         outcomes[type(out).__name__] += 1
