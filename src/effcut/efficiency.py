@@ -17,19 +17,19 @@ slacks in closed form, and the scans run on integers only:
   T2  With L_s the least common denominator of p_s, q_s, alpha_s and
       beta_s, read off FractionalObjective.integers with the cleared
       data, P_s = L_s (p_s'y + alpha_s) and Q_s = L_s (q_s'y + beta_s) are
-      integers, Q_s(y) > 0 on D, and D_s = L_s Q_s(x*) turns each slack
-      into w_s = n_s / D_s with the integer
+      integers, Q_s(y) > 0 on the region, and D_s = L_s Q_s(x*) turns
+      each slack into w_s = n_s / D_s with the integer
       n_s(y) = Q_s(y) P_s(x*) - P_s(y) Q_s(x*).  The maximum is
       (n_1 D_2 + n_2 D_1) / (D_1 D_2) over the y with n_1, n_2 >= 0.
 
-A PointTable holds D once per solve and fills each test's integer columns
-on the first call that needs them.  Along a run y, y + e_n, ... of
-consecutive points (the order of D makes them runs of the last
-coordinate) the columns step by exact differences: F_i grows by
-2 (Q_i y)_n + Q_i,nn + 2 c_i,n, that step by 2 Q_i,nn, and P_s and Q_s
-by their last coefficients.  Each other point is evaluated in full.
-Witnesses are the first maximizer in the order of D; the maximum comes
-back as an exact Fraction.
+Both tests read D from a PointTable, which the solver builds once per
+solve; it fills each test's integer columns on the first call that needs
+them.  Along a run y, y + e_n, ... of consecutive points (the order of D
+makes them runs of the last coordinate) the columns step by exact
+differences: F_i grows by 2 (Q_i y)_n + Q_i,nn + 2 c_i,n, that step by
+2 Q_i,nn, and P_s and Q_s by their last coefficients.  Each other point
+is evaluated in full.  Witnesses are the first maximizer in the order of
+D; the maximum comes back as an exact Fraction.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from fractions import Fraction
 from operator import add, le, mul
 from typing import Sequence
 
-from .instance import Instance
-from .oracle import enumerate_feasible
+from .instance import Instance, denominator_violations
 
 ZERO = Fraction(0)
 
@@ -93,8 +92,9 @@ class PointTable:
     points must be exactly the integer feasible set D; positions follow
     their order.  The T1 and T2 columns are filled on the first test that
     needs them and reused by every later one.  Filling the T2 columns
-    raises ValueError when some preference denominator q_s'y + beta_s is
-    not positive on D.
+    raises ValueError with denominator_violations' text when some
+    preference denominator q_s'y + beta_s is not positive on the region,
+    the rule validate_instance and solve apply.
     """
 
     def __init__(self, inst: Instance, points: Sequence[tuple[int, ...]]):
@@ -146,6 +146,9 @@ class PointTable:
         """(scales, rows) with scales = (L_1, L_2) and
         rows[k] = (P_1, Q_1, P_2, Q_2)(y_k) cleared by those scales."""
         if self._t2 is None:
+            bad = denominator_violations(self.inst)
+            if bad:
+                raise ValueError("; ".join(bad))
             scales, forms, consts = [], [], []
             for fr in self.inst.fractionals:
                 p, alpha, q, beta, L = fr.integers
@@ -159,29 +162,22 @@ class PointTable:
                 lambda y: (_linear_forms(forms, consts, y), last),
                 (0,) * len(last),
             )
-            if any(row[1] <= 0 or row[3] <= 0 for row in rows):
-                raise ValueError("a preference denominator is not positive on D")
             self._t2 = (tuple(scales), rows)
         return self._t2
 
 
-def _table(inst: Instance, points) -> PointTable:
-    if isinstance(points, PointTable):
-        if points.inst is not inst and points.inst != inst:
-            raise ValueError("point table belongs to another instance")
-        return points
-    return PointTable(inst, enumerate_feasible(inst) if points is None else points)
+def _table(inst: Instance, points: PointTable) -> PointTable:
+    if points.inst is not inst and points.inst != inst:
+        raise ValueError("point table belongs to another instance")
+    return points
 
 
 def test_moiqp_efficiency(
-    x_star: Sequence,
-    inst: Instance,
-    points: PointTable | Sequence[tuple[int, ...]] | None = None,
+    x_star: Sequence, inst: Instance, points: PointTable
 ) -> EfficiencyVerdict:
     """Decide efficiency of x* for the quadratic criteria (program T1).
 
-    points is a PointTable of the instance or exactly the integer feasible
-    set; D is enumerated when it is omitted.  Scanning in order of
+    points is a PointTable of the instance.  Scanning in order of
     sum_i 2 f_i(y), the first y with 2 f(y) <= 2 f(x*) is the maximizer.
     """
     table = _table(inst, points)
@@ -197,11 +193,10 @@ def test_moiqp_efficiency(
 
 
 def test_boilfp_efficiency(
-    x_star: Sequence,
-    inst: Instance,
-    points: PointTable | Sequence[tuple[int, ...]] | None = None,
+    x_star: Sequence, inst: Instance, points: PointTable
 ) -> EfficiencyVerdict:
-    """Decide efficiency of x* for the preference pair (program T2)."""
+    """Decide efficiency of x* for the preference pair (program T2) over
+    a PointTable of the instance."""
     table = _table(inst, points)
     k = table.position(x_star)
     (L1, L2), rows = table.t2_columns()

@@ -1,12 +1,14 @@
 """Depth-first branch-and-cut over the efficient set.
 
 Each node owns the root polyhedron plus the branch bounds and cuts on its
-path.  A node's relaxation is warm-started from its parent's optimal
-tableau: pending rows are appended, dual pivots restore feasibility,
-primal pivots restore the optimality certificate.  The stack is LIFO, so
-the low child of a branch, popped first, gets a copy of that tableau;
-the high child and a cut's only child, its last readers, re-solve it in
-place.  Integer optima are screened by the two efficiency tests and
+path.  Every node takes one path: the root's relaxation is solved from
+the polyhedron when it is popped, and any other node's is warm-started
+from its parent's optimal tableau: pending rows are appended, dual
+pivots restore feasibility, primal pivots restore the optimality
+certificate.  The stack is LIFO, so the low child of a branch, popped
+first, gets a copy of that tableau; the high child and a cut's only
+child, its last readers, re-solve it in place.  Integer optima are
+screened by T1, then T2 on a pass, both over one PointTable of D, and
 recorded on a double pass; the cut pair (or the single row, when both
 index sets coincide) then excludes the point and the search continues
 until every node is fathomed.
@@ -64,10 +66,10 @@ class SolveResult:
     nodes: tuple[Node, ...]
 
 
-def _event(node, parent, action, point=None, value=None, H=None, H_prime=None):
+def _event(node: Node, action, point=None, value=None, H=None, H_prime=None):
     return {
-        "node": node,
-        "parent": parent,
+        "node": node.id,
+        "parent": node.parent,
         "action": action,
         "point": None if point is None else [str(v) for v in point],
         "value": None if value is None else str(value),
@@ -110,12 +112,13 @@ def solve(
 ) -> SolveResult:
     """Collect every doubly-efficient integer point of the instance.
 
-    Per node: solve the fractional relaxation; fathom on infeasibility;
-    branch on the first fractional coordinate, the low child warm-started
-    from a copy of the node's tableau and the high child from the tableau
-    itself; at an integer optimum run T1, then T2 on a pass, record on a
-    double pass, and afterwards either fathom (some cut set empty) or push
-    the cut successor, which takes the tableau as is.  The budget caps node
+    Per node: solve the fractional relaxation, the root's from the
+    polyhedron when it is popped; fathom on infeasibility; branch on the
+    first fractional coordinate, the low child warm-started from a copy
+    of the node's tableau and the high child from the tableau itself; at
+    an integer optimum run T1, then T2 on a pass, record on a double
+    pass, and afterwards either fathom (some cut set empty) or push the
+    cut successor, which takes the tableau as is.  The budget caps node
     pops; exhaustion clears the complete flag.  A criterion matrix that
     is not positive semidefinite raises ValueError, since the cuts are
     safe only for convex criteria.  D comes first, so an unbounded region
@@ -130,13 +133,16 @@ def solve(
     if bad:
         raise ValueError("; ".join(bad))
     objective = inst.fractionals[0]
-    root = solve_lfp(System.from_polyhedron(inst.polyhedron), objective, observer)
     table = PointTable(inst, D)
+    # Bound per solve, not at import: bench/layers.py traces T1 and T2 by
+    # patching these two names in this module.
+    screens = ((test_moiqp_efficiency, "t1"), (test_boilfp_efficiency, "t2"))
     trace: list[dict] = []
     nodes: list[Node] = [Node(0, None, ())]
     stack = [(nodes[0], None, ())]  # (node, tableau it owns, pending rows)
     found: list[IntPoint] = []
-    node_count = cut_count = t1_runs = t2_runs = 0
+    counters = {"t1_runs": 0, "t2_runs": 0}
+    node_count = cut_count = 0
     pops = 0
     complete = True
 
@@ -147,67 +153,52 @@ def solve(
         node, parent_tab, pending = stack.pop()
         pops += 1
         if parent_tab is None:
-            outcome = root
+            outcome = solve_lfp(System.from_polyhedron(inst.polyhedron), objective, observer)
         else:
             outcome = add_rows_and_reoptimize(parent_tab, pending, objective, observer)
         if isinstance(outcome, Infeasible):
             node.status = "fathomed_infeasible"
-            trace.append(_event(node.id, node.parent, "infeasible"))
+            trace.append(_event(node, "infeasible"))
             continue
         node_count += 1
         x = outcome.point
-        trace.append(_event(node.id, node.parent, "lfp_solved", point=x, value=outcome.value))
+        trace.append(_event(node, "lfp_solved", point=x, value=outcome.value))
 
         if any(v.denominator != 1 for v in x):
             k = select_branch_variable(x)
             low, high = branch(node, k, x[k - 1], len(nodes))
             nodes.extend((low, high))
             node.status = "branched"
-            trace.append(_event(node.id, node.parent, "branched", point=x, value=outcome.value))
+            trace.append(_event(node, "branched", point=x, value=outcome.value))
             suffix = len(node.extra_rows)
             stack.append((high, outcome.tableau, high.extra_rows[suffix:]))
             stack.append((low, outcome.tableau.clone(), low.extra_rows[suffix:]))
             continue
 
         xi = tuple(int(v) for v in x)
-        trace.append(_event(node.id, node.parent, "integer_found", point=x, value=outcome.value))
-        t1 = test_moiqp_efficiency(xi, inst, table)
-        t1_runs += 1
-        trace.append(
-            _event(
-                node.id,
-                node.parent,
-                "t1",
-                point=t1.witness if t1.witness is not None else x,
-                value=t1.objective_value,
-            )
-        )
-        if t1.efficient:
-            t2 = test_boilfp_efficiency(xi, inst, table)
-            t2_runs += 1
-            trace.append(
-                _event(
-                    node.id,
-                    node.parent,
-                    "t2",
-                    point=t2.witness if t2.witness is not None else x,
-                    value=t2.objective_value,
-                )
-            )
-            if t2.efficient:
-                if xi not in found:
-                    found.append(xi)
-                trace.append(_event(node.id, node.parent, "recorded", point=x, value=outcome.value))
+        trace.append(_event(node, "integer_found", point=x, value=outcome.value))
+        for test, action in screens:
+            verdict = test(xi, inst, table)
+            counters[action + "_runs"] += 1
+            point = x if verdict.efficient else verdict.witness
+            trace.append(_event(node, action, point=point, value=verdict.objective_value))
+            if not verdict.efficient:
+                break
+        else:
+            if xi not in found:
+                found.append(xi)
+            trace.append(_event(node, "recorded", point=x, value=outcome.value))
 
         report = build_cut_report(inst, outcome.tableau, outcome.gamma)
-        if not report.H or not report.H_prime:
-            node.status = "fathomed_explored"
-            trace.append(
-                _event(
-                    node.id, node.parent, "fathomed",
-                    point=x, value=outcome.value, H=report.H, H_prime=report.H_prime,
-                )
+        fathom = not report.H or not report.H_prime
+        node.status = "fathomed_explored" if fathom else "cut_applied"
+        trace.append(
+            _event(
+                node, "fathomed" if fathom else "cuts_added",
+                point=x, value=outcome.value, H=report.H, H_prime=report.H_prime,
             )
+        )
+        if fathom:
             continue
         rows = (report.cut_moiqp,)
         if report.H_prime != report.H:
@@ -215,13 +206,6 @@ def solve(
         cut_count += len(rows)
         child = Node(len(nodes), node.id, node.extra_rows + rows)
         nodes.append(child)
-        node.status = "cut_applied"
-        trace.append(
-            _event(
-                node.id, node.parent, "cuts_added",
-                point=x, value=outcome.value, H=report.H, H_prime=report.H_prime,
-            )
-        )
         stack.append((child, outcome.tableau, rows))
 
     return SolveResult(
@@ -229,7 +213,7 @@ def solve(
         node_count=node_count,
         cut_count=cut_count,
         trace=tuple(trace),
-        counters={"t1_runs": t1_runs, "t2_runs": t2_runs},
+        counters=counters,
         complete=complete,
         nodes=tuple(nodes),
     )

@@ -64,12 +64,12 @@ class Row:
     rhs: int
 
     @staticmethod
-    def make(coeffs: Mapping[int, object] | Iterable, sense: str, rhs) -> "Row":
+    def make(coeffs: Mapping[int, object], sense: str, rhs) -> "Row":
         """The row with its data as ints; ValueError on a non-integral value."""
         if sense not in ("<=", ">="):
             raise ValueError("sense must be '<=' or '>='")
         items = []
-        for j, v in dict(coeffs).items():
+        for j, v in coeffs.items():
             if j < 1:
                 raise ValueError("variable ids are 1-based")
             v = _integral(v)
@@ -319,9 +319,7 @@ class Tableau:
         """Zero-ratio pivots in a row after which a run follows Bland's rule."""
         return STALL_FACTOR * (len(self.basis) + self.ncols) + 10
 
-    def _primal(
-        self, obj: FractionalObjective, observer: Observer | None = None, tag="primal"
-    ):
+    def _primal(self, obj: FractionalObjective, observer: Observer | None = None):
         """Pivot until gamma >= 0 on all nonbasic columns; returns the final
         integer pricing (Pn, Qn, G) of _priced.
 
@@ -355,7 +353,7 @@ class Tableau:
             stall = stall + 1 if best[0] == 0 else 0
             self.pivot(best[3], entering)
             if observer:
-                observer(tag, self)
+                observer("primal", self)
         raise SimplexCycleError("primal pivot cap exceeded")
 
     def _dual(

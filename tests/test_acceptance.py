@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from effcut import (
     Optimal,
+    PointTable,
     QuadraticObjective,
     Row,
     System,
@@ -240,11 +241,12 @@ def test_criterion_6_efficiency_test_agreement(demo_instance, acceptance_report)
     sets = oracle_solve(demo_instance)
     if len(sets.D) != 17:
         failures.append("D has %d points" % len(sets.D))
+    table = PointTable(demo_instance, sets.D)
     for x in sets.D:
-        t1 = moiqp_efficiency(x, demo_instance, sets.D)
+        t1 = moiqp_efficiency(x, demo_instance, table)
         if t1.efficient != (x in sets.X_Q):
             failures.append("quadratic-side verdict disagrees at %r" % (x,))
-        t2 = boilfp_efficiency(x, demo_instance, sets.D)
+        t2 = boilfp_efficiency(x, demo_instance, table)
         if t2.efficient != (x in sets.X_F):
             failures.append("fractional-side verdict disagrees at %r" % (x,))
     report(

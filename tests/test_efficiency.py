@@ -93,6 +93,11 @@ def assert_columns_are_cleared_criteria(inst):
         assert sorted(order, key=lambda k: (sums[k], k)) == order
 
 
+@pytest.fixture(scope="module")
+def demo_table(demo_instance):
+    return PointTable(demo_instance, enumerate_feasible(demo_instance))
+
+
 def test_verdict_invariants():
     EfficiencyVerdict(True, F(0), None)
     EfficiencyVerdict(False, F(3), (1, 0))
@@ -106,75 +111,68 @@ def test_verdict_invariants():
         EfficiencyVerdict(False, F(3), None)
 
 
-def test_quadratic_side_demo_points(demo_instance):
-    verdict = moiqp_efficiency((0, 3, 0), demo_instance)
+def test_quadratic_side_demo_points(demo_instance, demo_table):
+    verdict = moiqp_efficiency((0, 3, 0), demo_instance, demo_table)
     assert not verdict.efficient
     assert verdict.objective_value == F(809, 2)
     assert verdict.witness == (0, 0, 2)
 
-    verdict = moiqp_efficiency((1, 1, 1), demo_instance)
+    verdict = moiqp_efficiency((1, 1, 1), demo_instance, demo_table)
     assert not verdict.efficient
     assert verdict.objective_value == F(331, 2)
     assert verdict.witness == (1, 0, 1)
 
-    assert moiqp_efficiency((0, 1, 0), demo_instance).efficient
-    assert moiqp_efficiency((1, 0, 0), demo_instance).efficient
+    assert moiqp_efficiency((0, 1, 0), demo_instance, demo_table).efficient
+    assert moiqp_efficiency((1, 0, 0), demo_instance, demo_table).efficient
 
 
-def test_fractional_side_demo_points(demo_instance):
-    assert boilfp_efficiency((0, 3, 0), demo_instance).efficient
-    assert boilfp_efficiency((0, 1, 0), demo_instance).efficient
+def test_fractional_side_demo_points(demo_instance, demo_table):
+    assert boilfp_efficiency((0, 3, 0), demo_instance, demo_table).efficient
+    assert boilfp_efficiency((0, 1, 0), demo_instance, demo_table).efficient
 
-    verdict = boilfp_efficiency((1, 0, 0), demo_instance)
+    verdict = boilfp_efficiency((1, 0, 0), demo_instance, demo_table)
     assert not verdict.efficient
     assert verdict.objective_value == F(25, 6)
     assert verdict.witness == (0, 0, 2)
 
-    verdict = boilfp_efficiency((1, 0, 2), demo_instance)
+    verdict = boilfp_efficiency((1, 0, 2), demo_instance, demo_table)
     assert not verdict.efficient
     assert verdict.objective_value == F(7, 3)
     assert verdict.witness == (0, 0, 2)
 
 
-def test_witness_dominates_on_its_side(demo_instance):
-    quadratic = moiqp_efficiency((0, 3, 0), demo_instance)
+def test_witness_dominates_on_its_side(demo_instance, demo_table):
+    quadratic = moiqp_efficiency((0, 3, 0), demo_instance, demo_table)
     x, y = (0, 3, 0), quadratic.witness
     assert all(
         f.value(y) <= f.value(x) for f in demo_instance.quadratics
     )
-    fractional = boilfp_efficiency((1, 0, 0), demo_instance)
+    fractional = boilfp_efficiency((1, 0, 0), demo_instance, demo_table)
     x, y = (1, 0, 0), fractional.witness
     assert all(
         f.value(y) <= f.value(x) for f in demo_instance.fractionals
     )
 
 
-def test_verdicts_match_oracle_membership(demo_instance):
+def test_verdicts_match_oracle_membership(demo_instance, demo_table):
     sets = oracle_solve(demo_instance)
     for x in sets.D:
-        assert moiqp_efficiency(x, demo_instance).efficient == (x in sets.X_Q)
-        assert boilfp_efficiency(x, demo_instance).efficient == (x in sets.X_F)
+        assert moiqp_efficiency(x, demo_instance, demo_table).efficient == (x in sets.X_Q)
+        assert boilfp_efficiency(x, demo_instance, demo_table).efficient == (x in sets.X_F)
 
 
-def test_candidate_pool_is_accepted(demo_instance):
-    pool = enumerate_feasible(demo_instance)
-    direct = moiqp_efficiency((0, 3, 0), demo_instance)
-    pooled = moiqp_efficiency((0, 3, 0), demo_instance, points=pool)
-    assert direct == pooled
-
-
-def test_rejects_noninteger_candidate(demo_instance):
+def test_rejects_noninteger_candidate(demo_instance, demo_table):
     with pytest.raises(ValueError):
-        moiqp_efficiency((0, F(1, 2), 0), demo_instance)
+        moiqp_efficiency((0, F(1, 2), 0), demo_instance, demo_table)
     with pytest.raises(ValueError):
-        boilfp_efficiency((0, F(1, 2), 0), demo_instance)
+        boilfp_efficiency((0, F(1, 2), 0), demo_instance, demo_table)
 
 
-def test_rejects_infeasible_candidate(demo_instance):
+def test_rejects_infeasible_candidate(demo_instance, demo_table):
     with pytest.raises(ValueError):
-        moiqp_efficiency((0, 0, 3), demo_instance)
+        moiqp_efficiency((0, 0, 3), demo_instance, demo_table)
     with pytest.raises(ValueError):
-        boilfp_efficiency((-1, 0, 0), demo_instance)
+        boilfp_efficiency((-1, 0, 0), demo_instance, demo_table)
 
 
 def test_single_point_region_is_trivially_efficient():
@@ -198,8 +196,9 @@ def test_single_point_region_is_trivially_efficient():
         ),
         polyhedron=Polyhedron(((1,),), (0,)),
     )
-    assert moiqp_efficiency((0,), inst).efficient
-    assert boilfp_efficiency((0,), inst).efficient
+    table = PointTable(inst, enumerate_feasible(inst))
+    assert moiqp_efficiency((0,), inst, table).efficient
+    assert boilfp_efficiency((0,), inst, table).efficient
 
 
 # -- the integer point table --------------------------------------------------

@@ -15,11 +15,13 @@ from effcut import (
     FractionalObjective,
     Instance,
     Node,
+    PointTable,
     Polyhedron,
     QuadraticObjective,
     Row,
     UnboundedError,
     branch,
+    enumerate_feasible,
     load_instance,
     oracle_solve,
     parse_instance,
@@ -29,6 +31,7 @@ from effcut import (
     validate_instance,
 )
 from effcut import simplex
+from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut.search import render_trace
 from conftest import INSTANCE_DIR
 from helpers import (
@@ -391,6 +394,8 @@ b 3
 
 
 def test_nonpositive_denominator_rejected():
+    # Validation, solve, the oracle and T2 apply one region rule, so T2
+    # refuses the instance though the denominator is positive on D.
     inst = parse_instance(NEGATIVE_DENOMINATOR)
     message = "denominator nonpositive (objective 2, minimum -1/4)"
     assert validate_instance(inst) == [message]
@@ -399,6 +404,11 @@ def test_nonpositive_denominator_rejected():
     assert str(exc.value) == message
     with pytest.raises(ValueError) as exc:
         oracle_solve(parse_instance(NEGATIVE_DENOMINATOR))
+    assert str(exc.value) == message
+    D = enumerate_feasible(inst)
+    assert D == [(0, 0), (0, 1), (1, 0)]
+    with pytest.raises(ValueError) as exc:
+        boilfp_efficiency((0, 0), inst, PointTable(inst, D))
     assert str(exc.value) == message
 
 

@@ -81,6 +81,13 @@ def test_row_make_rejects_bad_input():
         Row.make({0: 1}, "<=", 0)
 
 
+def test_row_make_rejects_a_list_of_pairs():
+    # A mapping has one coefficient per id; a list of pairs could repeat
+    # an id and silently lose all but its last coefficient.
+    with pytest.raises(AttributeError):
+        Row.make([(1, 2), (1, 3)], "<=", 0)
+
+
 def test_row_make_rejects_a_non_integral_coefficient():
     # Integer rows keep every slack integer at integer points, which the
     # efficiency cuts need.
