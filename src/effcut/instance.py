@@ -19,6 +19,8 @@ IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
 
 
 def _integers(values: Sequence) -> tuple[list[int], int]:
@@ -142,15 +144,16 @@ class FractionalObjective:
     def numerator(self, x: Sequence[Fraction | int]) -> Fraction:
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
-        return sum(self.p[i] * x[i] for i in range(self.n)) + self.alpha
+        return Fraction(sum(self.p[i] * x[i] for i in range(self.n)) + self.alpha)
 
     def denominator(self, x: Sequence[Fraction | int]) -> Fraction:
         if len(x) != self.n:
             raise ValueError("point has wrong dimension")
-        return sum(self.q[i] * x[i] for i in range(self.n)) + self.beta
+        return Fraction(sum(self.q[i] * x[i] for i in range(self.n)) + self.beta)
 
     def value(self, x: Sequence[Fraction | int]) -> Fraction:
-        # Fraction division raises ZeroDivisionError on a zero denominator.
+        """Exact for int and Fraction fields alike; ZeroDivisionError on a
+        zero denominator."""
         return self.numerator(x) / self.denominator(x)
 
 
@@ -223,10 +226,13 @@ class Instance:
         validate_instance, solve and the coordinate bounds all read it."""
         from . import simplex  # deferred; simplex imports this module
 
+        zeros = (ZERO,) * self.n
         objectives = [
-            simplex.linear_objective([-int(i == k) for i in range(self.n)])
+            FractionalObjective(
+                tuple(MINUS_ONE if i == k else ZERO for i in range(self.n)), zeros, ZERO, ONE
+            )
             for k in range(self.n)
-        ] + [simplex.linear_objective(fr.q, fr.beta) for fr in self.fractionals]
+        ] + [FractionalObjective(fr.q, zeros, fr.beta, ONE) for fr in self.fractionals]
         return simplex.minimize_each(simplex.System.from_polyhedron(self.polyhedron), objectives)
 
 
@@ -336,6 +342,10 @@ def _int_tok(tok: str, no: int) -> int:
 
 
 def _frac_tok(tok: str, no: int) -> Fraction:
+    try:  # an integer literal skips Fraction's string parser
+        return Fraction(int(tok))
+    except ValueError:
+        pass
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):

@@ -1,15 +1,18 @@
 """Brute-force ground truth: enumerate D and filter both Pareto sets.
 
-Each Pareto set comes from a sort-then-scan over integer criteria: the
-quadratics doubled to ints, each preference one exact Fraction of two
-ints.
+Each Pareto set comes from a sort-then-scan over integer criteria.  The
+quadratics are doubled to ints, each one dot product with a point's
+monomials.  Each preference P_s / Q_s is keyed over one common
+denominator of its values on D, its key P_s * (M_s // Q_s) for M_s the
+lcm of the Q_s on D.  No Fraction is built.  The oracle shares no code
+with the solver's own tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, product
+from math import lcm
 from operator import le, mul
 from typing import Callable, Sequence
 
@@ -105,25 +108,51 @@ def pareto_filter(
     return list(compress(points, keep))
 
 
+def _monomials(y: IntPoint) -> list[int]:
+    """y_i y_j for i <= j, row by row, then y_1, ..., y_n."""
+    m = [a * b for i, a in enumerate(y) for b in y[i:]]
+    m += y
+    return m
+
+
 def _quadratic_criteria(inst: Instance) -> Callable[[IntPoint], tuple[int, ...]]:
     """y -> (F_1(y), ..., F_r(y)) in ints, F_i(y) = y'Q_i y + 2c_i'y = 2 f_i(y):
-    the criteria doubled, so the same dominance order."""
-    forms = [(obj.Q, [2 * ci for ci in obj.c]) for obj in inst.quadratics]
-    return lambda y: tuple(
-        sum(v * (sum(map(mul, row, y)) + c2) for v, row, c2 in zip(y, Q, c))
-        for Q, c in forms
-    )
+    the criteria doubled, so the same dominance order.  Each F_i is one dot
+    product of its weights with the point's _monomials: Q_i's diagonal
+    entry on y_i^2, twice its off-diagonal entry on y_i y_j, 2c_i on y_i."""
+    n = inst.n
+    weights = [
+        [obj.Q[i][j] * (1 if i == j else 2) for i in range(n) for j in range(i, n)]
+        + [2 * ci for ci in obj.c]
+        for obj in inst.quadratics
+    ]
+
+    def criteria(y: IntPoint) -> tuple[int, ...]:
+        m = _monomials(y)
+        return tuple([sum(map(mul, w, m)) for w in weights])
+
+    return criteria
 
 
-def _preference_criteria(inst: Instance) -> Callable[[IntPoint], tuple[Fraction, ...]]:
-    """y -> (psi_1(y), psi_2(y)), each one Fraction(P_s, Q_s) of the integer
-    numerator and denominator of FractionalObjective.integers: the value
-    fr.value(y) itself, and a zero denominator raises ZeroDivisionError."""
-    forms = [fr.integers[:4] for fr in inst.fractionals]
-    return lambda y: tuple(
-        Fraction(sum(map(mul, p, y)) + alpha, sum(map(mul, q, y)) + beta)
-        for p, alpha, q, beta in forms
-    )
+def _preference_criteria(
+    inst: Instance, D: Sequence[IntPoint]
+) -> Callable[[IntPoint], tuple[int, ...]]:
+    """y -> (K_1(y), K_2(y)) for the points y of D, integer keys in the
+    order of psi_1 and psi_2 on D.
+
+    With P_s(y) and Q_s(y) the integer numerator and denominator of
+    FractionalObjective.integers, every Q_s(y) is positive: oracle_solve
+    checks denominator_violations first.  Over M_s, the lcm of the Q_s on
+    D, psi_s(y) = K_s(y) / M_s with K_s(y) = P_s(y) * (M_s // Q_s(y)), so
+    the keys order D as the values do, and equal values get equal keys.
+    """
+    keys = []
+    for p, alpha, q, beta, _ in (fr.integers for fr in inst.fractionals):
+        nums = [sum(map(mul, p, y)) + alpha for y in D]
+        dens = [sum(map(mul, q, y)) + beta for y in D]
+        M = lcm(*set(dens))
+        keys.append([a * (M // b) for a, b in zip(nums, dens)])
+    return dict(zip(D, zip(*keys))).__getitem__
 
 
 @dataclass(frozen=True)
@@ -138,16 +167,16 @@ class ParetoSets:
 
 def oracle_solve(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> ParetoSets:
     """Reference efficiency sets over all of D: a sort-then-scan maxima
-    filter over integer criteria, the doubled quadratics in ints and each
-    preference as one exact Fraction of two ints.  As in solve, D comes
-    first, so an unbounded region raises UnboundedError; then a
+    filter over integer criteria, the doubled quadratics and each
+    preference's key over its common denominator on D.  As in solve, D
+    comes first, so an unbounded region raises UnboundedError; then a
     nonpositive preference denominator raises ValueError."""
     D = enumerate_feasible(inst, enum_cap)
     bad = denominator_violations(inst)
     if bad:
         raise ValueError("; ".join(bad))
     X_Q = pareto_filter(D, _quadratic_criteria(inst))
-    X_F = pareto_filter(D, _preference_criteria(inst))
+    X_F = pareto_filter(D, _preference_criteria(inst, D))
     in_f = set(X_F)
     X_Eff = [x for x in X_Q if x in in_f]
     return ParetoSets(tuple(D), tuple(X_Q), tuple(X_F), tuple(X_Eff))

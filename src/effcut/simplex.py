@@ -422,10 +422,11 @@ class Infeasible:
     """The constraint system has no nonnegative solution."""
 
 
-def _finish(tab: Tableau, priced) -> Optimal:
-    """Check the final integer pricing (Pn, Qn, G) of a primal run and
-    wrap it; P and Q share one positive scale, so the value is Pn / Qn.
-    The vertex is checked against the system as numerators over d."""
+def _checked(tab: Tableau, priced) -> Fraction:
+    """The value Pn / Qn of the final integer pricing (Pn, Qn, G) of a
+    primal run, once the optimum is checked: P and Q share one positive
+    scale, so Qn > 0; rhs and G are nonnegative; and the vertex, as
+    numerators over d, meets the system."""
     Pn, Qn, G = priced
     if Qn <= 0:
         raise RuntimeError("nonpositive denominator at optimum")
@@ -433,9 +434,13 @@ def _finish(tab: Tableau, priced) -> Optimal:
         raise RuntimeError("simplex stopped at a non-optimal basis")
     if not tab.system.satisfied_by(tab.original_numerators(), tab.d):
         raise RuntimeError("optimal point violates its own system")
-    return Optimal(
-        point=tab.original_point(), value=Fraction(Pn, Qn), tableau=tab, gamma=G
-    )
+    return Fraction(Pn, Qn)
+
+
+def _finish(tab: Tableau, priced) -> Optimal:
+    """The checked optimum of a primal run's final pricing, wrapped."""
+    value = _checked(tab, priced)
+    return Optimal(point=tab.original_point(), value=value, tableau=tab, gamma=priced[2])
 
 
 def solve_lfp(
@@ -463,7 +468,8 @@ def minimize_each(
     primal pass starts where the last one stopped, a basis that stays
     feasible (an optimum, or where _primal found an unbounded column,
     before any pivot on it).  An objective unbounded below reads None;
-    each optimum is checked as solve_lfp checks its own.
+    each optimum is checked as solve_lfp checks its own, and only its
+    value is built.
     """
     tab = Tableau(system)
     if not tab._dual(ZERO_OBJECTIVE, tag="phase1"):
@@ -471,7 +477,7 @@ def minimize_each(
     minima: list[Fraction | None] = []
     for obj in objectives:
         try:
-            minima.append(_finish(tab, tab._primal(obj)).value)
+            minima.append(_checked(tab, tab._primal(obj)))
         except UnboundedError:
             minima.append(None)
     return minima

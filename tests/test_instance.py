@@ -125,6 +125,8 @@ def test_parse_roundtrip_random():
         (7, "c z", "integer"),
         (10, "p 1 2", "expected 1"),
         (12, "gamma 0", "alpha"),
+        (12, "alpha 1/0", "bad rational literal"),
+        (12, "alpha x", "bad rational literal"),
         (20, "1 2", None),
     ],
 )
@@ -133,6 +135,16 @@ def test_parse_errors(lineno, new, needle):
         parse_instance(replace_line(MINIMAL, lineno, new))
     if needle is not None:
         assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("tok", ["+3", "-0", "007", "4/2", "-6/4"])
+def test_parse_rational_literal_is_the_fraction_of_it(tok):
+    # An integer literal takes the int path, any other Fraction's parser:
+    # either way the field is the Fraction Fraction(tok) would give.
+    inst = parse_instance(replace_line(MINIMAL, 12, "alpha " + tok))
+    first = dataclasses.replace(parse_instance(MINIMAL).fractionals[0], alpha=Fraction(tok))
+    assert inst.fractionals[0] == first
+    assert type(inst.fractionals[0].alpha) is Fraction
 
 
 def test_parse_error_carries_line_number():
@@ -194,6 +206,22 @@ def test_fractional_value_is_numerator_over_denominator(demo_instance):
     for x in ((0, 0, 0), (0, 3, 0), (1, 0, 2), (F(1, 2), 1, F(3, 2))):
         for frac in (psi1, psi2):
             assert frac.value(x) * frac.denominator(x) == frac.numerator(x)
+
+
+def test_fractional_value_is_exact_for_int_fields():
+    # (x_1 + 2 x_2) / (3 x_2): int fields, int point, one exact Fraction.
+    frac = FractionalObjective((1, 2), (0, 3), 0, 0)
+    for got, want in (
+        (frac.value((1, 1)), F(1)),
+        (frac.value((0, 2)), F(2, 3)),
+        (frac.value((1, 3)), F(7, 9)),
+        (frac.numerator((1, 3)), F(7)),
+        (frac.denominator((1, 3)), F(9)),
+        (FractionalObjective((1, 2), (0, 1), 0, 1).value((1, 1)), F(3, 2)),
+    ):
+        assert type(got) is Fraction and got == want
+    with pytest.raises(ZeroDivisionError):
+        frac.value((1, 0))
 
 
 def test_gradient_demo(demo_instance):

@@ -21,14 +21,20 @@ from effcut import (
     coordinate_bounds,
     enumerate_feasible,
     linear_objective,
+    load_instance,
     oracle_solve,
     pareto_filter,
     solve,
     solve_lfp,
 )
+from effcut.cli import render_oracle_result
+from effcut.oracle import _preference_criteria
+from conftest import INSTANCE_DIR
 from helpers import (
     binary_instance,
     box_scan,
+    boxed_instance,
+    deep_instance,
     pareto_pairwise,
     random_instance,
     rational_preferences,
@@ -329,3 +335,57 @@ def test_zero_preference_denominator_on_D_raises():
     with pytest.raises(ValueError) as exc:
         oracle_solve(three_point_line(-1, 2))
     assert str(exc.value) == "denominator nonpositive (objective 2, minimum 0)"
+
+
+def fraction_filter_sets(inst, D):
+    """X_Q, X_F and X_Eff by the generic pareto_filter over the Fraction
+    values of QuadraticObjective.value and FractionalObjective.value."""
+    X_Q = pareto_filter(D, lambda x: tuple(obj.value(x) for obj in inst.quadratics))
+    X_F = pareto_filter(D, lambda x: tuple(fr.value(x) for fr in inst.fractionals))
+    in_f = set(X_F)
+    return tuple(X_Q), tuple(X_F), tuple(x for x in X_Q if x in in_f)
+
+
+def tie_preferences(rng):
+    """psi_1 = (x_1 + 1) / (x_2 + 2) and psi_2 = (x_2 + x_3 + 2) / (x_1 + 1),
+    numerator and denominator each scaled by its own random rational.  On
+    x_3 = 0 the two are reciprocal up to scale, so no such point dominates
+    another, and equal ratios of unequal terms, such as 1/2 at (0, 0, 0)
+    and 2/4 at (1, 2, 0), make equal vectors."""
+    def scales():
+        return [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2)]
+
+    (a, b), (c, d) = scales(), scales()
+    return (
+        FractionalObjective((a, F(0), F(0)), (F(0), b, F(0)), a, 2 * b),
+        FractionalObjective((F(0), c, c), (d, F(0), F(0)), 2 * c, d),
+    )
+
+
+def test_integer_keys_equal_the_fraction_path_on_wide_boxes():
+    # [0,12]^3 instances: |D| in the thousands, so each preference's
+    # common denominator M_s is the lcm of many distinct values.
+    rng = random.Random(2417)
+    for _ in range(4):
+        base = deep_instance(rng)
+        for inst in (base, dataclasses.replace(base, fractionals=tie_preferences(rng))):
+            sets = oracle_solve(inst)
+            assert (sets.X_Q, sets.X_F, sets.X_Eff) == fraction_filter_sets(inst, sets.D)
+    # The last tie instance: (0, 0, 0) and (1, 2, 0) keep equal keys from
+    # unequal numerators and denominators, and both stay in X_F.
+    y, z = (0, 0, 0), (1, 2, 0)
+    psi_1 = inst.fractionals[0]
+    assert psi_1.value(y) == psi_1.value(z) and psi_1.numerator(y) != psi_1.numerator(z)
+    keys = _preference_criteria(inst, sets.D)
+    assert keys(y) == keys(z)
+    assert {y, z} <= set(sets.X_F)
+    assert len(sets.X_F) < len(sets.D)
+
+
+def test_wide_instance_file_and_its_oracle_document():
+    # instances/wide.oracle was written by the Fraction-keyed oracle; CI
+    # compares the entry point's output with it too.
+    inst = load_instance(str(INSTANCE_DIR / "wide.txt"))
+    assert inst == boxed_instance(random.Random(4), 3, 20, 2)
+    document = (INSTANCE_DIR / "wide.oracle").read_text(encoding="utf-8")
+    assert render_oracle_result(oracle_solve(inst)) == document
