@@ -12,8 +12,10 @@ auxiliaries are tight, so both programs reduce to a scan over D with the
 slacks in closed form, and the scans run on integers only:
 
   T1  Q_i, c_i and y are integer, so F_i(y) = 2 f_i(y) = y'Q_i y + 2 c_i'y
-      is an integer.  The maximum is (sum_i F_i(x*) - sum_i F_i(y)) / 2
-      over the y with F(y) <= F(x*).
+      is an integer, and so is S(y) = sum_i F_i(y) = y'(sum_i Q_i)y +
+      2 (sum_i c_i)'y, one quadratic form.  The maximum is
+      (S(x*) - S(y)) / 2 over the y with F(y) <= F(x*); any such y
+      other than x* has S(y) < S(x*) unless F(y) = F(x*).
   T2  With L_s the least common denominator of p_s, q_s, alpha_s and
       beta_s, read off FractionalObjective.integers with the cleared
       data, P_s = L_s (p_s'y + alpha_s) and Q_s = L_s (q_s'y + beta_s) are
@@ -23,13 +25,18 @@ slacks in closed form, and the scans run on integers only:
       (n_1 D_2 + n_2 D_1) / (D_1 D_2) over the y with n_1, n_2 >= 0.
 
 Both tests read D from a PointTable, which the solver builds once per
-solve; it fills each test's integer columns on the first call that needs
-them.  Along a run y, y + e_n, ... of consecutive points (the order of D
-makes them runs of the last coordinate) the columns step by exact
-differences: F_i grows by 2 (Q_i y)_n + Q_i,nn + 2 c_i,n, that step by
-2 Q_i,nn, and P_s and Q_s by their last coefficients.  Each other point
-is evaluated in full.  Witnesses are the first maximizer in the order of
-D; the maximum comes back as an exact Fraction.
+solve.  T2's columns and T1's column of S are filled over all of D on
+the first call that needs them.  Along a run y, y + e_n, ... of
+consecutive points (the order of D makes them runs of the last
+coordinate) the columns step by exact differences: a quadratic form
+y'Qy + 2c'y grows by 2 (Q y)_n + Q_nn + 2 c_n, that step by 2 Q_nn, and
+P_s and Q_s by their last coefficients; the first point of each run is
+evaluated in full.  T1 scans the y with S(y) < S(x*) in order of S and
+stops at the first with F(y) <= F(x*).  It evaluates the row F(y) only
+for x* and the points that scan reaches, each on its first read: on the
+benchmark's dense workload, a few percent of D.  Witnesses are the
+first maximizer in the order of D; the maximum comes back as an exact
+Fraction.
 """
 
 from __future__ import annotations
@@ -64,43 +71,43 @@ def _linear_forms(coeff_rows, consts, y):
     return tuple(sum(map(mul, a, y)) + a0 for a, a0 in zip(coeff_rows, consts))
 
 
-def _stepped_rows(points, start, second):
-    """Integer rows of columns at most quadratic in the last coordinate.
-
-    start(y) gives the columns at y and their first differences toward
-    y + e_n; second holds the constant second differences.  Along a run
-    y, y + e_n, ... of consecutive points each column steps by its
-    difference and each difference by its second difference, exactly;
-    every other point starts a run with start.
-    """
-    rows = []
-    prev = None
+def _runs(points):
+    """[first point, length] of each maximal run y, y + e_n, ... of
+    consecutive points (same first n - 1 coordinates, last one up by 1),
+    in order.  The columns step along each run by exact differences."""
+    runs = []
+    head = after = None
     for y in points:
-        if prev is not None and y[-1] == prev[-1] + 1 and y[:-1] == prev[:-1]:
-            vals = tuple(map(add, vals, diffs))
-            diffs = tuple(map(add, diffs, second))
+        if y[-1] == after and y[:-1] == head:
+            runs[-1][1] += 1
         else:
-            vals, diffs = start(y)
-        rows.append(vals)
-        prev = y
-    return rows
+            runs.append([y, 1])
+            head = y[:-1]
+        after = y[-1] + 1
+    return runs
 
 
 class PointTable:
     """The integer points of one instance with their integer criterion columns.
 
     points must be exactly the integer feasible set D; positions follow
-    their order.  The T1 and T2 columns are filled on the first test that
-    needs them and reused by every later one.  Filling the T2 columns
-    raises ValueError with denominator_violations' text when some
-    preference denominator q_s'y + beta_s is not positive on the region,
-    the rule validate_instance and solve apply.
+    their order.  T1 reads one summed column over all of D, filled on its
+    first call, and the criterion rows of only the points its scans
+    reach, each evaluated on its first read (criteria).  The T2 columns
+    are filled over all of D on T2's first call.  Everything filled is
+    reused by every later test.  Filling the T2 columns raises ValueError
+    with denominator_violations' text when some preference denominator
+    q_s'y + beta_s is not positive on the region, the rule
+    validate_instance and solve apply.
     """
 
     def __init__(self, inst: Instance, points: Sequence[tuple[int, ...]]):
         self.inst = inst
         self.points = tuple(points)
         self.index = {y: k for k, y in enumerate(self.points)}
+        # 2 f_i(y) = y'g with the integer vector g = Q_i y + 2 c_i.
+        self._forms = [(obj.Q, [2 * ci for ci in obj.c]) for obj in inst.quadratics]
+        self._rows = [None] * len(self.points)
         self._t1 = None
         self._t2 = None
 
@@ -117,29 +124,36 @@ class PointTable:
             raise ValueError("candidate point is infeasible")
         return k
 
+    def criteria(self, k: int) -> tuple[int, ...]:
+        """The integer row (2 f_1, ..., 2 f_r)(y_k), evaluated on its first read."""
+        row = self._rows[k]
+        if row is None:
+            y = self.points[k]
+            row = self._rows[k] = tuple(
+                sum(map(mul, _linear_forms(Q, c2, y), y)) for Q, c2 in self._forms
+            )
+        return row
+
     def t1_columns(self):
-        """(rows, sums, order) with rows[k] = (2 f_1, ..., 2 f_r)(y_k), sums[k]
-        its sum, and order the positions sorted by sum, ties by position."""
+        """(sums, order) with sums[k] = sum_i 2 f_i(y_k), one quadratic form
+        in y_k, and order the positions sorted by sum, ties by position."""
         if self._t1 is None:
-            # F(y) = 2 f(y) = y'g with the integer vector g = Qy + 2c, and
-            # F(y + e_n) - F(y) = 2 g_n + Q_nn - 2 c_n, which grows by 2 Q_nn.
-            forms = [
-                (obj.Q, [2 * ci for ci in obj.c], obj.Q[-1][-1] - 2 * obj.c[-1])
-                for obj in self.inst.quadratics
-            ]
-
-            def start(y):
-                gs = [_linear_forms(Q, c2, y) for Q, c2, _ in forms]
-                return (
-                    tuple(sum(map(mul, g, y)) for g in gs),
-                    tuple(2 * g[-1] + k for g, (_, _, k) in zip(gs, forms)),
-                )
-
-            second = tuple(2 * Q[-1][-1] for Q, _, _ in forms)
-            rows = _stepped_rows(self.points, start, second)
-            sums = [sum(row) for row in rows]
-            order = sorted(range(len(rows)), key=sums.__getitem__)
-            self._t1 = (rows, sums, order)
+            # S(y) = sum_i 2 f_i(y) = y'g with g = (sum_i Q_i) y + 2 sum_i c_i,
+            # and S(y + e_n) - S(y) = 2 g_n + Q_nn - 2 c_n, which grows by 2 Q_nn.
+            forms = self._forms
+            Q = [list(map(sum, zip(*rows))) for rows in zip(*(Q for Q, _ in forms))]
+            c2 = list(map(sum, zip(*(c2 for _, c2 in forms))))
+            k, second = Q[-1][-1] - c2[-1], 2 * Q[-1][-1]
+            sums = []
+            for y, length in _runs(self.points):
+                g = _linear_forms(Q, c2, y)
+                s, step = sum(map(mul, g, y)), 2 * g[-1] + k
+                for _ in range(length):
+                    sums.append(s)
+                    s += step
+                    step += second
+            order = sorted(range(len(sums)), key=sums.__getitem__)
+            self._t1 = (sums, order)
         return self._t1
 
     def t2_columns(self):
@@ -157,11 +171,13 @@ class PointTable:
                 consts += (alpha, beta)
             # Each form steps by its last coefficient along a run.
             last = tuple(a[-1] for a in forms)
-            rows = _stepped_rows(
-                self.points,
-                lambda y: (_linear_forms(forms, consts, y), last),
-                (0,) * len(last),
-            )
+            rows = []
+            for y, length in _runs(self.points):
+                vals = _linear_forms(forms, consts, y)
+                rows.append(vals)
+                for _ in range(length - 1):
+                    vals = tuple(map(add, vals, last))
+                    rows.append(vals)
             self._t2 = (tuple(scales), rows)
         return self._t2
 
@@ -182,12 +198,13 @@ def test_moiqp_efficiency(
     """
     table = _table(inst, points)
     k = table.position(x_star)
-    rows, sums, order = table.t1_columns()
-    ref, total = rows[k], sums[k]
+    sums, order = table.t1_columns()
+    criteria = table.criteria
+    ref, total = criteria(k), sums[k]
     for j in order:
         if sums[j] >= total:
             break
-        if all(map(le, rows[j], ref)):
+        if all(map(le, criteria(j), ref)):
             return EfficiencyVerdict(False, Fraction(total - sums[j], 2), table.points[j])
     return EfficiencyVerdict(True, ZERO, None)
 

@@ -17,7 +17,7 @@ from effcut import (
 )
 from effcut import test_boilfp_efficiency as boilfp_efficiency
 from effcut import test_moiqp_efficiency as moiqp_efficiency
-from helpers import rational_preferences, three_point_line
+from helpers import boxed_instance, rational_preferences, three_point_line
 
 F = Fraction
 
@@ -73,24 +73,26 @@ def assert_matches_reference(inst):
 
 
 def assert_columns_are_cleared_criteria(inst):
-    """The columns over D, over D shuffled and over every other point of
-    D: the last two break the runs of consecutive points that the tables
-    step along, so most rows restart from a full evaluation."""
+    """The columns and criterion rows over D, over D shuffled and over
+    every other point of D: the last two break the runs of consecutive
+    points that the columns step along, so most of them restart from a
+    full evaluation."""
     D = enumerate_feasible(inst)
     shuffled = random.Random(len(D)).sample(D, len(D))
     for points in (D, shuffled, D[::2]):
         table = PointTable(inst, points)
-        rows, sums, order = table.t1_columns()
+        sums, order = table.t1_columns()
         scales, cleared = table.t2_columns()
         for k, y in enumerate(table.points):
-            assert rows[k] == tuple(2 * obj.value(y) for obj in inst.quadratics)
-            assert sums[k] == sum(rows[k])
+            row = table.criteria(k)
+            assert row == tuple(2 * obj.value(y) for obj in inst.quadratics)
+            assert sums[k] == sum(row)
             expected = []
             for L, frac in zip(scales, inst.fractionals):
                 expected += [L * frac.numerator(y), L * frac.denominator(y)]
             assert cleared[k] == tuple(expected)
-            assert all(type(v) is int for v in rows[k] + cleared[k])
-        assert sorted(order, key=lambda k: (sums[k], k)) == order
+            assert all(type(v) is int for v in (sums[k], *row, *cleared[k]))
+        assert order == sorted(range(len(sums)), key=lambda k: (sums[k], k))
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,7 @@ def test_repeated_calls_reuse_the_columns(demo_instance):
         for x in table.points
     ]
     columns = (table.t1_columns(), table.t2_columns())
+    rows = [table.criteria(k) for k in range(len(table))]
     again = [
         (moiqp_efficiency(x, demo_instance, table), boilfp_efficiency(x, demo_instance, table))
         for x in table.points
@@ -254,6 +257,30 @@ def test_repeated_calls_reuse_the_columns(demo_instance):
     assert again == first
     assert table.t1_columns() is columns[0]
     assert table.t2_columns() is columns[1]
+    assert all(table.criteria(k) is row for k, row in enumerate(rows))
+
+
+def test_t1_evaluates_only_the_rows_its_scan_reads():
+    # n = 4 in [0, 3]^4 plus two rows, the shape of the benchmark's dense
+    # workload; at this seed D has 139 points and some scans read 54 of
+    # them before the first dominator.  A fresh table per candidate: one
+    # call fills the candidate's row and those of the positions scanned.
+    inst = boxed_instance(random.Random(8), 4, 3, 2)
+    D = enumerate_feasible(inst)
+    quad = quadratic_values(inst, D)
+    for x in D:
+        table = PointTable(inst, D)
+        verdict = moiqp_efficiency(x, inst, table)
+        assert verdict == reference_t1(x, D, quad)
+        sums, order = table.t1_columns()
+        if verdict.efficient:
+            scanned = sum(s < sums[table.index[x]] for s in sums)
+        else:
+            scanned = order.index(table.index[verdict.witness]) + 1
+        assert sum(row is not None for row in table._rows) <= scanned + 1
+    # The last table, partly filled, still answers every candidate.
+    for x in D:
+        assert moiqp_efficiency(x, inst, table) == reference_t1(x, D, quad)
 
 
 @pytest.mark.parametrize("q,beta", [(-1, 2), (-2, 3)])
