@@ -26,24 +26,29 @@ slacks in closed form, and the scans run on integers only:
 
 Both tests read D from a PointTable, which the solver builds once per
 solve.  T2's columns and T1's column of S are filled over all of D on
-the first call that needs them.  Along a run y, y + e_n, ... of
-consecutive points (the order of D makes them runs of the last
-coordinate) the columns step by exact differences: a quadratic form
-y'Qy + 2c'y grows by 2 (Q y)_n + Q_nn + 2 c_n, that step by 2 Q_nn, and
-P_s and Q_s by their last coefficients; the first point of each run is
-evaluated in full.  T1 scans the y with S(y) < S(x*) in order of S and
-stops at the first with F(y) <= F(x*).  It evaluates the row F(y) only
-for x* and the points that scan reaches, each on its first read: on the
-benchmark's dense workload, a few percent of D.  Witnesses are the
-first maximizer in the order of D; the maximum comes back as an exact
-Fraction.
+the first call that needs them.  The table splits its points once into
+runs (h, v), (h, v + 1), ... of consecutive points, h the first n - 1
+coordinates (the order of D makes them runs of the last coordinate),
+and fills each run in closed form in v: the quadratic form S = y'Qy +
+2c'y is S(h, v) = S(h, 0) + v (2 Q_n,h'h + 2 c_n) + v^2 Q_nn, and each
+of P_s, Q_s is P(h, v) = P(h, 0) + v p_n.  T2 evaluates its four
+values at v = 0 per run.  T1, whose column most solves fill, takes
+S(h, 0) and its slope in closed form in the last coordinate of h too,
+over values evaluated once per stretch of runs that share the rest of
+h.  T1 scans the y with S(y) < S(x*) in order of S and stops at the
+first with F(y) <= F(x*).  It evaluates the row F(y) only for x* and
+the points that scan reaches, each on its first read: on the
+benchmark's dense workload, a few percent of D.
+Witnesses are the first maximizer in the order of D; the maximum comes
+back as an exact Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul
+from functools import cached_property
+from operator import le, mul
 from typing import Sequence
 
 from .instance import Instance, denominator_violations
@@ -68,21 +73,22 @@ class EfficiencyVerdict:
 
 def _linear_forms(coeff_rows, consts, y):
     """The integers a'y + a0 for each integer row a and constant a0."""
-    return tuple(sum(map(mul, a, y)) + a0 for a, a0 in zip(coeff_rows, consts))
+    return [sum(map(mul, a, y)) + a0 for a, a0 in zip(coeff_rows, consts)]
 
 
 def _runs(points):
-    """[first point, length] of each maximal run y, y + e_n, ... of
-    consecutive points (same first n - 1 coordinates, last one up by 1),
-    in order.  The columns step along each run by exact differences."""
+    """[head, first, length] of each maximal run (head, first),
+    (head, first + 1), ... of consecutive points, in order: head holds the
+    first n - 1 coordinates and the last one climbs by 1.  Each column is
+    filled along a run in closed form in that last coordinate."""
     runs = []
     head = after = None
     for y in points:
         if y[-1] == after and y[:-1] == head:
-            runs[-1][1] += 1
+            runs[-1][2] += 1
         else:
-            runs.append([y, 1])
             head = y[:-1]
+            runs.append([head, y[-1], 1])
         after = y[-1] + 1
     return runs
 
@@ -94,8 +100,10 @@ class PointTable:
     their order.  T1 reads one summed column over all of D, filled on its
     first call, and the criterion rows of only the points its scans
     reach, each evaluated on its first read (criteria).  The T2 columns
-    are filled over all of D on T2's first call.  Everything filled is
-    reused by every later test.  Filling the T2 columns raises ValueError
+    are filled over all of D on T2's first call.  Both fills walk the
+    runs of the points (runs), split once per table, and write each run
+    in closed form in its last coordinate.  Everything filled is reused
+    by every later test.  Filling the T2 columns raises ValueError
     with denominator_violations' text when some preference denominator
     q_s'y + beta_s is not positive on the region, the rule
     validate_instance and solve apply.
@@ -134,24 +142,43 @@ class PointTable:
             )
         return row
 
+    @cached_property
+    def runs(self):
+        """The runs of the points (_runs), split once for both fills."""
+        return _runs(self.points)
+
     def t1_columns(self):
         """(sums, order) with sums[k] = sum_i 2 f_i(y_k), one quadratic form
         in y_k, and order the positions sorted by sum, ties by position."""
         if self._t1 is None:
-            # S(y) = sum_i 2 f_i(y) = y'g with g = (sum_i Q_i) y + 2 sum_i c_i,
-            # and S(y + e_n) - S(y) = 2 g_n + Q_nn - 2 c_n, which grows by 2 Q_nn.
+            # S(y) = y'Qy + c2'y over the summed Q and c2.  At the point
+            # (h, v) of a run, S(h, v) = S(h, 0) + v s(h) + v^2 Q_nn with the
+            # slope s(h) = 2 Q_n,h'h + c2_n.  Consecutive runs mostly share
+            # the first n - 2 coordinates g of their head h = (g, w), and
+            # both values are closed forms in w as well: S(h, 0) =
+            # A + w (B + w Q_mm) and s(h) = C + 2 w Q_nm (m = n - 1), with
+            # A = S(g, 0, 0), B = 2 Q_m,g'g + c2_m and C = 2 Q_n,g'g + c2_n
+            # evaluated when g changes.
             forms = self._forms
             Q = [list(map(sum, zip(*rows))) for rows in zip(*(Q for Q, _ in forms))]
             c2 = list(map(sum, zip(*(c2 for _, c2 in forms))))
-            k, second = Q[-1][-1] - c2[-1], 2 * Q[-1][-1]
-            sums = []
-            for y, length in _runs(self.points):
-                g = _linear_forms(Q, c2, y)
-                s, step = sum(map(mul, g, y)), 2 * g[-1] + k
-                for _ in range(length):
-                    sums.append(s)
-                    s += step
-                    step += second
+            Qnn = Q[-1][-1]
+            if len(Q) == 1:
+                sums = [v * (c2[0] + v * Qnn) for (v,) in self.points]
+            else:
+                Qg = [row[:-2] for row in Q]
+                Qmm, Qnm2 = Q[-2][-2], 2 * Q[-1][-2]
+                sums = []
+                last_g = None
+                for h, first, length in self.runs:
+                    g, w = h[:-1], h[-1]
+                    if g != last_g:
+                        last_g = g
+                        *Qgg, Qmg, Qng = [sum(map(mul, row, g)) for row in Qg]
+                        A = sum(map(mul, Qgg, g)) + sum(map(mul, c2, g))
+                        B, C = 2 * Qmg + c2[-2], 2 * Qng + c2[-1]
+                    s0, slope = A + w * (B + w * Qmm), C + w * Qnm2
+                    sums += [s0 + v * (slope + v * Qnn) for v in range(first, first + length)]
             order = sorted(range(len(sums)), key=sums.__getitem__)
             self._t1 = (sums, order)
         return self._t1
@@ -169,15 +196,16 @@ class PointTable:
                 scales.append(L)
                 forms += (p, q)
                 consts += (alpha, beta)
-            # Each form steps by its last coefficient along a run.
-            last = tuple(a[-1] for a in forms)
+            # At the point (h, v) of a run each form is P(h, 0) + v p_n.
+            heads = [a[:-1] for a in forms]
+            d1, d2, d3, d4 = (a[-1] for a in forms)
             rows = []
-            for y, length in _runs(self.points):
-                vals = _linear_forms(forms, consts, y)
-                rows.append(vals)
-                for _ in range(length - 1):
-                    vals = tuple(map(add, vals, last))
-                    rows.append(vals)
+            for h, first, length in self.runs:
+                a1, a2, a3, a4 = _linear_forms(heads, consts, h)
+                rows += [
+                    (a1 + v * d1, a2 + v * d2, a3 + v * d3, a4 + v * d4)
+                    for v in range(first, first + length)
+                ]
             self._t2 = (tuple(scales), rows)
         return self._t2
 

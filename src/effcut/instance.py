@@ -437,20 +437,28 @@ def load_instance(path: str) -> Instance:
         return parse_instance(fh)
 
 
-def denominator_violations(inst: Instance) -> list[str]:
+def denominator_violations(inst: Instance) -> tuple[str, ...]:
     """A violation for each preference denominator whose minimum in
-    inst.lp_minima is not positive; none when the region is empty."""
-    from . import simplex  # deferred; simplex imports this module
+    inst.lp_minima is not positive; none when the region is empty.
 
-    minima = inst.lp_minima
-    if isinstance(minima, simplex.Infeasible):
-        return []
-    return [
-        "denominator nonpositive (objective %d%s)"
-        % (s, " unbounded below" if v is None else ", minimum %s" % v)
-        for s, v in enumerate(minima[inst.n :], 1)
-        if v is None or v <= 0
-    ]
+    Computed on the first call and kept in the instance's __dict__, where
+    cached_property keeps lp_minima, so validate_instance, solve,
+    oracle_solve and T2 all read one tuple."""
+    found = inst.__dict__.get("_denominator_violations")
+    if found is None:
+        from . import simplex  # deferred; simplex imports this module
+
+        minima = inst.lp_minima
+        found = ()
+        if not isinstance(minima, simplex.Infeasible):
+            found = tuple(
+                "denominator nonpositive (objective %d%s)"
+                % (s, " unbounded below" if v is None else ", minimum %s" % v)
+                for s, v in enumerate(minima[inst.n :], 1)
+                if v is None or v <= 0
+            )
+        inst.__dict__["_denominator_violations"] = found
+    return found
 
 
 def validate_instance(inst: Instance) -> list[str]:

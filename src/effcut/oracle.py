@@ -11,9 +11,9 @@ with the solver's own tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress
 from math import lcm
-from operator import le, mul
+from operator import add, le, mul, sub
 from typing import Callable, Sequence
 
 from .instance import Instance, _integral, denominator_violations
@@ -45,11 +45,15 @@ def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list
     """All integer points of {x >= 0 : Ax <= b}, in lexicographic order.
 
     The box of coordinate_bounds holds them all, and enum_cap caps its
-    volume.  For each prefix of the first n - 1 coordinates in the box,
-    row i leaves a_in v <= s_i = b_i - a_i'prefix on the last coordinate
-    v; together with 0 <= v <= u_n the rows cut v to one integer interval
-    [lo, hi], floors and ceilings taken in ints, and each v in it closes
-    a point of D.
+    volume.  A row whose maximum over the box, the sum of a_ij u_j over
+    its positive a_ij, is at most b_i holds at every box point and is
+    dropped.  The prefixes of the first n - 1 coordinates are walked as an
+    odometer that keeps each remaining row's slack s_i = b_i - a_i'prefix:
+    a step up in coordinate j subtracts a_ij, and a carry that resets
+    coordinate j from u_j to 0 adds back its share a_ij u_j.  Row i then
+    leaves a_in v <= s_i on the last coordinate v; together with
+    0 <= v <= u_n the rows cut v to one integer interval [lo, hi], floors
+    and ceilings taken in ints, and each v in it closes a point of D.
     """
     bounds = coordinate_bounds(inst)
     if any(u < 0 for u in bounds):
@@ -62,15 +66,22 @@ def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list
                 "bounding box holds more than %d points" % enum_cap
             )
     poly = inst.polyhedron
-    rows = [
-        ([_integral(v) for v in a[:-1]], _integral(a[-1]), _integral(b))
-        for a, b in zip(poly.A, poly.b)
-    ]
+    rows = []
+    for a, b in zip(poly.A, poly.b):
+        a, b = [_integral(v) for v in a], _integral(b)
+        if sum(v * u for v, u in zip(a, bounds) if v > 0) > b:
+            rows.append((a, b))
+    *upper, top = bounds
+    slack = [b for _, b in rows]
+    last = [a[-1] for a, _ in rows]
+    columns = [[a[j] for a, _ in rows] for j in range(len(upper))]
+    shares = [[v * u for v in col] for col, u in zip(columns, upper)]
+    tails = [(v,) for v in range(top + 1)]
+    prefix = [0] * len(upper)
     points = []
-    for prefix in product(*(range(u + 1) for u in bounds[:-1])):
-        lo, hi = 0, bounds[-1]
-        for head, a, b in rows:
-            s = b - sum(map(mul, head, prefix))
+    while True:
+        lo, hi = 0, top
+        for a, s in zip(last, slack):
             if a > 0:
                 hi = min(hi, s // a)
             elif a < 0:
@@ -78,8 +89,17 @@ def enumerate_feasible(inst: Instance, enum_cap: int = DEFAULT_ENUM_CAP) -> list
             elif s < 0:
                 hi = -1
                 break
-        points.extend(prefix + (v,) for v in range(lo, hi + 1))
-    return points
+        if lo <= hi:
+            points += map(tuple(prefix).__add__, tails[lo : hi + 1])
+        j = len(upper) - 1
+        while j >= 0 and prefix[j] == upper[j]:
+            prefix[j] = 0
+            slack = list(map(add, slack, shares[j]))
+            j -= 1
+        if j < 0:
+            return points
+        prefix[j] += 1
+        slack = list(map(sub, slack, columns[j]))
 
 
 def pareto_filter(

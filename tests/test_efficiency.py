@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from effcut import (
     EfficiencyVerdict,
     PointTable,
+    QuadraticObjective,
+    efficiency,
     enumerate_feasible,
     oracle_solve,
     solve,
@@ -224,6 +226,50 @@ def test_table_matches_reference_scans_with_rational_preferences(corpus, data):
 def test_table_columns_are_cleared_criteria(corpus, demo_instance):
     for inst in [demo_instance, *corpus]:
         assert_columns_are_cleared_criteria(inst)
+
+
+def test_columns_where_the_sum_is_linear_along_runs():
+    # Every criterion's last row and column of Q zeroed (still convex):
+    # the summed Q_nn is 0, so S climbs linearly along each run.
+    inst = boxed_instance(random.Random(3), 3, 4, 2)
+    quads = tuple(
+        QuadraticObjective(
+            tuple((*row[:-1], 0) for row in obj.Q[:-1]) + ((0,) * 3,), obj.c
+        )
+        for obj in inst.quadratics
+    )
+    flat = dataclasses.replace(inst, quadratics=quads)
+    assert sum(obj.Q[-1][-1] for obj in quads) == 0 != sum(obj.c[-1] for obj in quads)
+    assert all(obj.is_psd() for obj in quads)
+    assert_columns_are_cleared_criteria(flat)
+
+
+def test_columns_where_the_preferences_are_constant_along_runs():
+    # p_n = q_n = 0 for both preferences: every T2 form is constant along
+    # a run, while q >= 0 and beta >= 1 keep the denominators positive.
+    inst = boxed_instance(random.Random(5), 3, 4, 2)
+    fracs = tuple(
+        dataclasses.replace(fr, p=(*fr.p[:-1], F(0)), q=(*fr.q[:-1], F(0)))
+        for fr in inst.fractionals
+    )
+    assert_columns_are_cleared_criteria(dataclasses.replace(inst, fractionals=fracs))
+
+
+def test_both_fills_split_the_runs_once(demo_instance, monkeypatch):
+    calls = []
+    original = efficiency._runs
+
+    def counting(points):
+        calls.append(len(points))
+        return original(points)
+
+    monkeypatch.setattr(efficiency, "_runs", counting)
+    D = enumerate_feasible(demo_instance)
+    for expected in (1, 2):
+        table = PointTable(demo_instance, D)
+        table.t1_columns()
+        table.t2_columns()
+        assert calls == [len(D)] * expected
 
 
 def test_table_rejects_bad_candidates(demo_instance):

@@ -472,6 +472,21 @@ def test_one_minimize_each_call_per_instance(which, demo_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_denominator_violations_are_computed_once_per_instance(demo_path):
+    # validate_instance computes them; solve and oracle_solve read the
+    # tuple it kept, so a violation planted there reaches all three.
+    inst = load_instance(demo_path)
+    assert "_denominator_violations" not in inst.__dict__
+    assert validate_instance(inst) == []
+    assert inst.__dict__["_denominator_violations"] == ()
+    inst.__dict__["_denominator_violations"] = ("planted",)
+    assert validate_instance(inst) == ["planted"]
+    with pytest.raises(ValueError, match="^planted$"):
+        solve(inst)
+    with pytest.raises(ValueError, match="^planted$"):
+        oracle_solve(inst)
+
+
 def test_replaced_polyhedron_computes_its_own_minima(demo_path):
     inst = load_instance(demo_path)
     assert validate_instance(inst) == []

@@ -141,24 +141,40 @@ def scan_region(rng):
     return region(tuple(map(tuple, A)), tuple(b))
 
 
+def box_met(row, b, bounds):
+    """True when no point of the box [0, bounds] breaks a'x <= b: the
+    rows enumerate_feasible drops before its walk."""
+    return sum(a * u for a, u in zip(row, bounds) if a > 0) <= b
+
+
 def test_interval_scan_equals_the_box_scan():
     # enumerate_feasible cuts the last coordinate to one interval per
     # prefix; the oracle shares it, so only the box scan can check it.
     rng = random.Random(71)
     seen = dict.fromkeys(
-        ("n = 1", "negative last", "zero last", "fraction", "empty slice", "empty D"), 0
+        (
+            "n = 1", "negative last", "zero last", "fraction", "empty slice", "empty D",
+            "row the box meets", "all rows dropped", "carry",
+        ),
+        0,
     )
     for _ in range(400):
         inst = scan_region(rng)
         D = enumerate_feasible(inst)
         assert D == box_scan(inst)
         poly, bounds = inst.polyhedron, coordinate_bounds(inst)
+        # Empty regions (bounds -1) return before any row is read.
+        met = [min(bounds) >= 0 and box_met(a, b, bounds) for a, b in zip(poly.A, poly.b)]
         seen["n = 1"] += inst.n == 1
         seen["negative last"] += any(a[-1] < 0 for a in poly.A)
         seen["zero last"] += any(a[-1] == 0 for a in poly.A)
         seen["fraction"] += any(type(v) is F for v in (*poly.b, *poly.A[-1]))
         seen["empty slice"] += len({x[:-1] for x in D}) < math.prod(u + 1 for u in bounds[:-1])
         seen["empty D"] += not D
+        # The rows after the n box rows x_k <= b_k are the random ones.
+        seen["row the box meets"] += any(met[inst.n :])
+        seen["all rows dropped"] += all(met) and bool(D)
+        seen["carry"] += inst.n >= 3 and len({x[0] for x in D}) >= 2
     assert all(seen.values()), seen
     # Nonempty as a region, with no integer point: 1 <= 2 x1 <= 1.
     half = region(((2,), (-2,)), (1, -1))
@@ -169,6 +185,12 @@ def test_interval_scan_equals_the_box_scan():
     assert enumerate_feasible(empty) == box_scan(empty) == []
     single = region(((F(1), 0), (-1, 0), (0, F(1)), (0, -1)), (F(2), -2, 1, F(-1)))
     assert enumerate_feasible(single) == box_scan(single) == [(2, 1)]
+
+
+@pytest.mark.parametrize("name", ["demo.txt", "deep.txt", "wide.txt"])
+def test_instance_files_enumerate_as_the_box_scan(name):
+    inst = load_instance(str(INSTANCE_DIR / name))
+    assert enumerate_feasible(inst) == box_scan(inst)
 
 
 def test_demo_enumeration(demo_instance):
