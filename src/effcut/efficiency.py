@@ -21,24 +21,26 @@ slacks in closed form, and the scans run on integers only:
       data, P_s = L_s (p_s'y + alpha_s) and Q_s = L_s (q_s'y + beta_s) are
       integers, Q_s(y) > 0 on the region, and D_s = L_s Q_s(x*) turns
       each slack into w_s = n_s / D_s with the integer
-      n_s(y) = Q_s(y) P_s(x*) - P_s(y) Q_s(x*).  The maximum is
-      (n_1 D_2 + n_2 D_1) / (D_1 D_2) over the y with n_1, n_2 >= 0.
+      n_s(y) = Q_s(y) P_s(x*) - P_s(y) Q_s(x*), affine in y.  The maximum
+      is (n_1 D_2 + n_2 D_1) / (D_1 D_2) over the y with n_1, n_2 >= 0,
+      an affine objective over the points where two affine forms are
+      nonnegative.
 
 Both tests read D from a PointTable, which the solver builds once per
-solve.  T2's columns and T1's column of S are filled over all of D on
-the first call that needs them.  The table splits its points once into
-runs (h, v), (h, v + 1), ... of consecutive points, h the first n - 1
-coordinates (the order of D makes them runs of the last coordinate),
-and fills each run in closed form in v: the quadratic form S = y'Qy +
-2c'y is S(h, v) = S(h, 0) + v (2 Q_n,h'h + 2 c_n) + v^2 Q_nn, and each
-of P_s, Q_s is P(h, v) = P(h, 0) + v p_n.  T2 evaluates its four
-values at v = 0 per run.  T1, whose column most solves fill, takes
-S(h, 0) and its slope in closed form in the last coordinate of h too,
-over values evaluated once per stretch of runs that share the rest of
-h.  T1 scans the y with S(y) < S(x*) in order of S and stops at the
-first with F(y) <= F(x*).  It evaluates the row F(y) only for x* and
-the points that scan reaches, each on its first read: on the
-benchmark's dense workload, a few percent of D.
+solve and which splits its points once into runs (h, v), (h, v + 1),
+... of consecutive points, h the first n - 1 coordinates (the order of
+D makes them runs of the last coordinate).  T1 reads one column of S
+over all of D, filled on its first call, each run in closed form in v:
+S(h, v) = S(h, 0) + v (2 Q_n,h'h + 2 c_n) + v^2 Q_nn, with S(h, 0) and
+its slope in closed form in the last coordinate of h too, over values
+evaluated once per stretch of runs that share the rest of h.  T1 scans
+the y with S(y) < S(x*) in order of S and stops at the first with
+F(y) <= F(x*).  It evaluates the row F(y) only for x* and the points
+that scan reaches, each on its first read: on the benchmark's dense
+workload, a few percent of D.  T2 keeps nothing in the table: each call
+makes one pass over the runs, evaluates n_1 and n_2 at (h, 0), cuts the
+run to the v where both stay nonnegative, and takes the objective, affine
+in v, at the end of that interval it favours.
 Witnesses are the first maximizer in the order of D; the maximum comes
 back as an exact Fraction.
 """
@@ -71,42 +73,16 @@ class EfficiencyVerdict:
             raise ValueError("witness must accompany exactly the inefficient case")
 
 
-def _linear_forms(coeff_rows, consts, y):
-    """The integers a'y + a0 for each integer row a and constant a0."""
-    return [sum(map(mul, a, y)) + a0 for a, a0 in zip(coeff_rows, consts)]
-
-
-def _runs(points):
-    """[head, first, length] of each maximal run (head, first),
-    (head, first + 1), ... of consecutive points, in order: head holds the
-    first n - 1 coordinates and the last one climbs by 1.  Each column is
-    filled along a run in closed form in that last coordinate."""
-    runs = []
-    head = after = None
-    for y in points:
-        if y[-1] == after and y[:-1] == head:
-            runs[-1][2] += 1
-        else:
-            head = y[:-1]
-            runs.append([head, y[-1], 1])
-        after = y[-1] + 1
-    return runs
-
-
 class PointTable:
-    """The integer points of one instance with their integer criterion columns.
+    """The integer points of one instance with T1's integer criterion column.
 
     points must be exactly the integer feasible set D; positions follow
     their order.  T1 reads one summed column over all of D, filled on its
     first call, and the criterion rows of only the points its scans
-    reach, each evaluated on its first read (criteria).  The T2 columns
-    are filled over all of D on T2's first call.  Both fills walk the
-    runs of the points (runs), split once per table, and write each run
-    in closed form in its last coordinate.  Everything filled is reused
-    by every later test.  Filling the T2 columns raises ValueError
-    with denominator_violations' text when some preference denominator
-    q_s'y + beta_s is not positive on the region, the rule
-    validate_instance and solve apply.
+    reach, each evaluated on its first read (criteria).  The points are
+    split once into runs of consecutive points (runs), which T1's fill
+    writes in closed form in their last coordinate and every T2 call
+    walks.  Everything filled is reused by every later test.
     """
 
     def __init__(self, inst: Instance, points: Sequence[tuple[int, ...]]):
@@ -117,7 +93,6 @@ class PointTable:
         self._forms = [(obj.Q, [2 * ci for ci in obj.c]) for obj in inst.quadratics]
         self._rows = [None] * len(self.points)
         self._t1 = None
-        self._t2 = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -138,14 +113,26 @@ class PointTable:
         if row is None:
             y = self.points[k]
             row = self._rows[k] = tuple(
-                sum(map(mul, _linear_forms(Q, c2, y), y)) for Q, c2 in self._forms
+                sum(yi * (sum(map(mul, a, y)) + a0) for yi, a, a0 in zip(y, Q, c2))
+                for Q, c2 in self._forms
             )
         return row
 
     @cached_property
     def runs(self):
-        """The runs of the points (_runs), split once for both fills."""
-        return _runs(self.points)
+        """[head, first, length] of each maximal run (head, first),
+        (head, first + 1), ... of consecutive points, in order: head holds
+        the first n - 1 coordinates and the last one climbs by 1."""
+        runs = []
+        head = after = None
+        for y in self.points:
+            if y[-1] == after and y[:-1] == head:
+                runs[-1][2] += 1
+            else:
+                head = y[:-1]
+                runs.append([head, y[-1], 1])
+            after = y[-1] + 1
+        return runs
 
     def t1_columns(self):
         """(sums, order) with sums[k] = sum_i 2 f_i(y_k), one quadratic form
@@ -183,32 +170,6 @@ class PointTable:
             self._t1 = (sums, order)
         return self._t1
 
-    def t2_columns(self):
-        """(scales, rows) with scales = (L_1, L_2) and
-        rows[k] = (P_1, Q_1, P_2, Q_2)(y_k) cleared by those scales."""
-        if self._t2 is None:
-            bad = denominator_violations(self.inst)
-            if bad:
-                raise ValueError("; ".join(bad))
-            scales, forms, consts = [], [], []
-            for fr in self.inst.fractionals:
-                p, alpha, q, beta, L = fr.integers
-                scales.append(L)
-                forms += (p, q)
-                consts += (alpha, beta)
-            # At the point (h, v) of a run each form is P(h, 0) + v p_n.
-            heads = [a[:-1] for a in forms]
-            d1, d2, d3, d4 = (a[-1] for a in forms)
-            rows = []
-            for h, first, length in self.runs:
-                a1, a2, a3, a4 = _linear_forms(heads, consts, h)
-                rows += [
-                    (a1 + v * d1, a2 + v * d2, a3 + v * d3, a4 + v * d4)
-                    for v in range(first, first + length)
-                ]
-            self._t2 = (tuple(scales), rows)
-        return self._t2
-
 
 def _table(inst: Instance, points: PointTable) -> PointTable:
     if points.inst is not inst and points.inst != inst:
@@ -241,21 +202,49 @@ def test_boilfp_efficiency(
     x_star: Sequence, inst: Instance, points: PointTable
 ) -> EfficiencyVerdict:
     """Decide efficiency of x* for the preference pair (program T2) over
-    a PointTable of the instance."""
+    a PointTable of the instance.
+
+    Each slack n_s(y) = Q_s(y) P_s(x*) - P_s(y) Q_s(x*) is one integer
+    affine form in y, and so is the objective n_1 D_2 + n_2 D_1.  Along a
+    run (h, v) each form is n_s(h, 0) + v d_s, so the v where both are
+    nonnegative make one integer interval, and the objective moves along
+    it with the one slope d_1 D_2 + d_2 D_1: its first maximizer is the
+    interval's upper end when that slope is positive and its lower end
+    otherwise.  A strict comparison across runs keeps the first maximizer
+    in the order of the table.  ValueError with denominator_violations'
+    text when some preference denominator is not positive on the region,
+    the rule validate_instance and solve apply.
+    """
     table = _table(inst, points)
-    k = table.position(x_star)
-    (L1, L2), rows = table.t2_columns()
-    P1x, Q1x, P2x, Q2x = rows[k]
-    D1, D2 = L1 * Q1x, L2 * Q2x
+    x = table.points[table.position(x_star)]
+    bad = denominator_violations(inst)
+    if bad:
+        raise ValueError("; ".join(bad))
+    forms = []
+    for fr in inst.fractionals:
+        p, alpha, q, beta, L = fr.integers
+        Px, Qx = sum(map(mul, p, x)) + alpha, sum(map(mul, q, x)) + beta
+        a = [Px * qi - Qx * pi for pi, qi in zip(p, q)]
+        forms.append((a[:-1], Px * beta - Qx * alpha, a[-1], L * Qx))
+    (a1, c1, d1, D1), (a2, c2, d2, D2) = forms
+    slope = d1 * D2 + d2 * D1
     best = 0
     witness = None
-    for y, (P1, Q1, P2, Q2) in zip(table.points, rows):
-        n1 = Q1 * P1x - P1 * Q1x
-        if n1 >= 0:
-            n2 = Q2 * P2x - P2 * Q2x
-            if n2 >= 0:
-                total = n1 * D2 + n2 * D1
-                if total > best:
-                    best = total
-                    witness = y
+    for h, first, length in table.runs:
+        A1, A2 = sum(map(mul, a1, h)) + c1, sum(map(mul, a2, h)) + c2
+        # Cut the run to the v with A_s + v d_s >= 0 for both s.
+        lo, hi = first, first + length - 1
+        for A, d in ((A1, d1), (A2, d2)):
+            if d > 0:
+                lo = max(lo, -(A // d))
+            elif d < 0:
+                hi = min(hi, A // -d)
+            elif A < 0:
+                hi = lo - 1
+        if lo <= hi:
+            v = hi if slope > 0 else lo
+            total = (A1 + v * d1) * D2 + (A2 + v * d2) * D1
+            if total > best:
+                best = total
+                witness = (*h, v)
     return EfficiencyVerdict(best == 0, Fraction(best, D1 * D2), witness)

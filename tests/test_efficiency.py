@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from effcut import (
     EfficiencyVerdict,
     PointTable,
     QuadraticObjective,
-    efficiency,
     enumerate_feasible,
     oracle_solve,
     solve,
@@ -66,34 +66,34 @@ def reference_t2(x_star, pool, values):
 
 
 def assert_matches_reference(inst):
-    pool = enumerate_feasible(inst)
-    table = PointTable(inst, pool)
-    quad, pref = quadratic_values(inst, pool), preference_values(inst, pool)
-    for x in pool:
-        assert moiqp_efficiency(x, inst, table) == reference_t1(x, pool, quad)
-        assert boilfp_efficiency(x, inst, table) == reference_t2(x, pool, pref)
+    """Both tests against the reference scans over D, over D shuffled and
+    over every other point of D: the last two break D's runs of
+    consecutive points into runs of one point and runs cut short."""
+    D = enumerate_feasible(inst)
+    shuffled = random.Random(len(D)).sample(D, len(D))
+    for pool in (D, shuffled, D[::2]):
+        table = PointTable(inst, pool)
+        quad, pref = quadratic_values(inst, pool), preference_values(inst, pool)
+        for x in pool:
+            assert moiqp_efficiency(x, inst, table) == reference_t1(x, pool, quad)
+            assert boilfp_efficiency(x, inst, table) == reference_t2(x, pool, pref)
 
 
 def assert_columns_are_cleared_criteria(inst):
-    """The columns and criterion rows over D, over D shuffled and over
+    """T1's column and the criterion rows over D, over D shuffled and over
     every other point of D: the last two break the runs of consecutive
-    points that the columns step along, so most of them restart from a
+    points that the column steps along, so most of them restart from a
     full evaluation."""
     D = enumerate_feasible(inst)
     shuffled = random.Random(len(D)).sample(D, len(D))
     for points in (D, shuffled, D[::2]):
         table = PointTable(inst, points)
         sums, order = table.t1_columns()
-        scales, cleared = table.t2_columns()
         for k, y in enumerate(table.points):
             row = table.criteria(k)
             assert row == tuple(2 * obj.value(y) for obj in inst.quadratics)
             assert sums[k] == sum(row)
-            expected = []
-            for L, frac in zip(scales, inst.fractionals):
-                expected += [L * frac.numerator(y), L * frac.denominator(y)]
-            assert cleared[k] == tuple(expected)
-            assert all(type(v) is int for v in (sums[k], *row, *cleared[k]))
+            assert all(type(v) is int for v in (sums[k], *row))
         assert order == sorted(range(len(sums)), key=lambda k: (sums[k], k))
 
 
@@ -245,31 +245,96 @@ def test_columns_where_the_sum_is_linear_along_runs():
 
 
 def test_columns_where_the_preferences_are_constant_along_runs():
-    # p_n = q_n = 0 for both preferences: every T2 form is constant along
-    # a run, while q >= 0 and beta >= 1 keep the denominators positive.
+    # p_n = q_n = 0 for both preferences: every slack n_s is constant along
+    # a run (d_s = 0), while q >= 0 and beta >= 1 keep the denominators
+    # positive.
     inst = boxed_instance(random.Random(5), 3, 4, 2)
     fracs = tuple(
         dataclasses.replace(fr, p=(*fr.p[:-1], F(0)), q=(*fr.q[:-1], F(0)))
         for fr in inst.fractionals
     )
-    assert_columns_are_cleared_criteria(dataclasses.replace(inst, fractionals=fracs))
+    assert_matches_reference(dataclasses.replace(inst, fractionals=fracs))
 
 
-def test_both_fills_split_the_runs_once(demo_instance, monkeypatch):
-    calls = []
-    original = efficiency._runs
+def sign(v):
+    return (v > 0) - (v < 0)
 
-    def counting(points):
-        calls.append(len(points))
-        return original(points)
 
-    monkeypatch.setattr(efficiency, "_runs", counting)
+def t2_branches(inst, table):
+    """Counter of the branches T2's interval code takes over (x*, run),
+    signed from Fractions.  Along a run (h, v) each slack
+    den_s(y) num_s(x*) - num_s(y) den_s(x*) is A_s + v d_s; the objective
+    moves along the run's feasible points with the sign of
+    d_1 / den_1(x*) + d_2 / den_2(x*)."""
+    fracs = inst.fractionals
+    ends = [
+        [[(fr.numerator(y), fr.denominator(y)) for fr in fracs] for y in ((*h, 0), (*h, 1))]
+        for h, _, _ in table.runs
+    ]
+    counts = Counter()
+    for x in table.points:
+        at_x = [(fr.numerator(x), fr.denominator(x)) for fr in fracs]
+        for (_, first, length), (at0, at1) in zip(table.runs, ends):
+            A, d = [], []
+            for (px, qx), (p0, q0), (p1, q1) in zip(at_x, at0, at1):
+                A.append(q0 * px - p0 * qx)
+                d.append((q1 * px - p1 * qx) - A[-1])
+                if d[-1] or A[-1] < 0:
+                    counts["d", sign(d[-1])] += 1
+            feasible = [
+                v for v in range(first, first + length)
+                if all(a + v * b >= 0 for a, b in zip(A, d))
+            ]
+            if len(feasible) >= 2:
+                counts["slope", sign(d[0] / at_x[0][1] + d[1] / at_x[1][1])] += 1
+    return counts
+
+
+def test_t2_takes_every_branch_of_its_interval_code():
+    # Boxed instances with rational preferences, some with p_n = q_n = 0
+    # for one or both preferences so that d_s = 0 and a zero slope occur.
+    counts = Counter()
+
+    @seed(20240917)
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        base = boxed_instance(random.Random(data.draw(st.integers(0, 999))), n, 3, 1)
+        fracs = list(rational_preferences(data, n))
+        for s in data.draw(st.sampled_from(((), (0,), (1,), (0, 1)))):
+            fr = fracs[s]
+            fracs[s] = dataclasses.replace(fr, p=(*fr.p[:-1], F(0)), q=(*fr.q[:-1], F(0)))
+        inst = dataclasses.replace(base, fractionals=tuple(fracs))
+        assert_matches_reference(inst)
+        counts.update(t2_branches(inst, PointTable(inst, enumerate_feasible(inst))))
+
+    check()
+    # d_s = 0 counts only with A_s < 0, where the run is empty.
+    branches = [(kind, s) for kind in ("d", "slope") for s in (1, -1, 0)]
+    assert all(counts[b] >= 20 for b in branches), counts
+
+
+def test_t1_fill_and_t2_calls_read_one_runs_object(demo_instance):
+    class Walked(list):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
     D = enumerate_feasible(demo_instance)
-    for expected in (1, 2):
-        table = PointTable(demo_instance, D)
-        table.t1_columns()
-        table.t2_columns()
-        assert calls == [len(D)] * expected
+    table = PointTable(demo_instance, D)
+    runs = table.__dict__["runs"] = Walked(PointTable(demo_instance, D).runs)
+    table.t1_columns()
+    assert Walked.walks == 1
+    for x in D:
+        fresh = PointTable(demo_instance, D)
+        assert boilfp_efficiency(x, demo_instance, table) == boilfp_efficiency(
+            x, demo_instance, fresh
+        )
+    assert Walked.walks == 1 + len(D)
+    assert table.runs is runs
 
 
 def test_table_rejects_bad_candidates(demo_instance):
@@ -294,15 +359,14 @@ def test_repeated_calls_reuse_the_columns(demo_instance):
         (moiqp_efficiency(x, demo_instance, table), boilfp_efficiency(x, demo_instance, table))
         for x in table.points
     ]
-    columns = (table.t1_columns(), table.t2_columns())
+    columns = table.t1_columns()
     rows = [table.criteria(k) for k in range(len(table))]
     again = [
         (moiqp_efficiency(x, demo_instance, table), boilfp_efficiency(x, demo_instance, table))
         for x in table.points
     ]
     assert again == first
-    assert table.t1_columns() is columns[0]
-    assert table.t2_columns() is columns[1]
+    assert table.t1_columns() is columns
     assert all(table.criteria(k) is row for k, row in enumerate(rows))
 
 
@@ -334,7 +398,7 @@ def test_nonpositive_denominator_on_D_is_rejected(q, beta):
     # q x + beta is zero, or negative, at x = 2 only; positive at x* = 0.
     inst = three_point_line(q, beta)
     table = PointTable(inst, enumerate_feasible(inst))
-    # T1 never fills the T2 columns, so it still runs.
+    # T1 reads no denominator, so it still runs.
     assert moiqp_efficiency((0,), inst, table).efficient
     with pytest.raises(ValueError):
         boilfp_efficiency((0,), inst, table)
